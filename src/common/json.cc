@@ -179,7 +179,25 @@ class JsonParser {
     }
   }
 
+  /// One array/object level for as long as it lives.
+  class Nest {
+   public:
+    explicit Nest(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nest() { --*depth_; }
+    bool too_deep() const { return *depth_ > kMaxJsonDepth; }
+
+   private:
+    int* depth_;
+  };
+
+  Status TooDeep() const {
+    return Error("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                 " levels");
+  }
+
   Result<JsonValue> ParseObject() {
+    Nest nest(&depth_);
+    if (nest.too_deep()) return TooDeep();
     ++pos_;  // '{'
     JsonValue::Object obj;
     SkipWhitespace();
@@ -203,6 +221,8 @@ class JsonParser {
   }
 
   Result<JsonValue> ParseArray() {
+    Nest nest(&depth_);
+    if (nest.too_deep()) return TooDeep();
     ++pos_;  // '['
     JsonValue::Array arr;
     SkipWhitespace();
@@ -290,6 +310,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

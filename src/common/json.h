@@ -67,7 +67,13 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
-/// Parse a complete JSON document (rejects trailing garbage).
+/// Deepest array/object nesting ParseJson accepts: bounds the parser's
+/// recursion (and the tree's) for any input, e.g. a service frame of
+/// 100 000 '['.
+inline constexpr int kMaxJsonDepth = 512;
+
+/// Parse a complete JSON document (rejects trailing garbage). Nesting past
+/// kMaxJsonDepth fails with ParseError naming the offset.
 Result<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace qy

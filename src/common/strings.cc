@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
 #include <cstdio>
 #include <limits>
 
@@ -16,23 +15,32 @@ std::string StrJoin(const std::vector<std::string>& parts,
   return out;
 }
 
+namespace {
+
+char ToUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+char ToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
+
 std::string AsciiToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : s) c = ToUpper(c);
   return s;
 }
 
 std::string AsciiToLower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : s) c = ToLower(c);
   return s;
 }
 
 bool EqualsIgnoreCase(const std::string& a, const std::string& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ToUpper(a[i]) != ToUpper(b[i])) return false;
   }
   return true;
 }

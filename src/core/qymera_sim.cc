@@ -86,9 +86,10 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
   topts.use_hugeint = use_hugeint;
   topts.prune_epsilon = options_.prune_epsilon;
   topts.order_final = qopts_.final_order_by;
-  // Ping-pong state naming makes the per-gate SQL text repeat across gates
-  // of the same shape, turning the engine's plan cache into one
-  // parse/bind/plan per distinct shape for the whole circuit.
+  // Ping-pong state naming lets a gate's SQL text repeat an earlier gate's
+  // when gate table, qubits and step parity all match, so the plan cache can
+  // skip its parse/bind/plan. Qubit literals and per-angle gate tables make
+  // that rare (2.2% of gates on sparse_deep, none on QFT).
   topts.ping_pong_states =
       qopts_.mode == QymeraOptions::Mode::kMaterializedSteps;
   QY_ASSIGN_OR_RETURN(Translation translation,

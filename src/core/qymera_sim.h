@@ -69,8 +69,9 @@ struct RunSummary {
   uint64_t max_intermediate_rows = 0;
   uint64_t rows_spilled = 0;
   /// Prepared-plan cache counters of the run's database. In materialized
-  /// mode the per-gate loop ping-pongs between two state-table names, so
-  /// every repetition of a gate shape is a cache hit (parsed/planned once).
+  /// mode the per-gate loop ping-pongs between two state-table names, so a
+  /// gate hits only when an earlier gate had the same gate table, qubits and
+  /// step parity: 2.2% of lookups on sparse_deep, none on QFT.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Per-operator stats rendering (sql::QueryProfile::ToString()).

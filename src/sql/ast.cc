@@ -1,10 +1,77 @@
 #include "sql/ast.h"
 
 #include <functional>
+#include <new>
 
 #include "common/strings.h"
 
 namespace qy::sql {
+
+namespace {
+
+/// Per-thread free list of Expr blocks. A statement builds and then frees
+/// its whole tree, about a hundred 208-byte nodes for a gate query, while
+/// glibc caches only 7 free chunks per size; without recycling, most nodes
+/// take the allocator's coalescing slow path on both malloc and free.
+/// Capped, so one huge statement hands its surplus back to malloc.
+class ExprFreeList {
+ public:
+  void* Take() {
+    Block* b = head_;
+    if (b == nullptr) return nullptr;
+    head_ = b->next;
+    --size_;
+    return b;
+  }
+  bool Give(void* p) {
+    if (size_ >= kMaxBlocks) return false;
+    head_ = new (p) Block{head_};
+    ++size_;
+    return true;
+  }
+  ~ExprFreeList();
+
+ private:
+  struct Block {
+    Block* next;
+  };
+  static constexpr size_t kMaxBlocks = 1024;
+  Block* head_ = nullptr;
+  size_t size_ = 0;
+};
+
+// Set once the thread's list is destroyed: nodes freed later (by thread-exit
+// or static destructors) go straight back to malloc.
+thread_local bool tl_list_gone = false;
+thread_local ExprFreeList tl_list;
+
+ExprFreeList::~ExprFreeList() {
+  while (void* p = Take()) ::operator delete(p);
+  tl_list_gone = true;
+}
+
+// AddressSanitizer must see every free to catch use-after-free.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kRecycle = false;
+#else
+constexpr bool kRecycle = true;
+#endif
+
+}  // namespace
+
+void* Expr::operator new(size_t size) {
+  if (kRecycle && size == sizeof(Expr) && !tl_list_gone) {
+    if (void* p = tl_list.Take()) return p;
+  }
+  return ::operator new(size);
+}
+
+void Expr::operator delete(void* p, size_t size) {
+  if (kRecycle && size == sizeof(Expr) && !tl_list_gone && tl_list.Give(p)) {
+    return;
+  }
+  ::operator delete(p);
+}
 
 ExprPtr MakeLiteral(Value v) {
   auto e = std::make_unique<Expr>();
@@ -33,6 +100,7 @@ ExprPtr MakeBinary(std::string op, ExprPtr lhs, ExprPtr rhs) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kBinary;
   e->op = std::move(op);
+  e->children.reserve(2);
   e->children.push_back(std::move(lhs));
   e->children.push_back(std::move(rhs));
   return e;
@@ -83,6 +151,59 @@ std::string Expr::ToString() const {
              DataTypeName(cast_type) + ")";
   }
   return "?";
+}
+
+namespace {
+
+bool LiteralsEqual(const Value& a, const Value& b) {
+  if (a.type() == b.type() && !a.is_null() && !b.is_null()) {
+    switch (a.type()) {
+      case DataType::kBool:
+        return a.bool_value() == b.bool_value();
+      case DataType::kBigInt:
+        return a.bigint_value() == b.bigint_value();
+      case DataType::kHugeInt:
+        return a.hugeint_value() == b.hugeint_value();
+      case DataType::kVarchar:
+        return a.varchar_value() == b.varchar_value();
+      default:
+        break;
+    }
+  }
+  return a.ToString() == b.ToString();
+}
+
+}  // namespace
+
+bool Expr::Equals(const Expr& other) const {
+  if (kind != other.kind || children.size() != other.children.size()) {
+    return false;
+  }
+  switch (kind) {
+    case ExprKind::kLiteral:
+      return LiteralsEqual(literal, other.literal);
+    case ExprKind::kColumnRef:
+      return column == other.column && table == other.table;
+    case ExprKind::kStar:
+      return table == other.table;
+    case ExprKind::kUnary:
+    case ExprKind::kBinary:
+      if (op != other.op) return false;
+      break;
+    case ExprKind::kFunction:
+      if (!EqualsIgnoreCase(op, other.op)) return false;
+      break;
+    case ExprKind::kCase:
+      if (case_has_else != other.case_has_else) return false;
+      break;
+    case ExprKind::kCast:
+      if (cast_type != other.cast_type) return false;
+      break;
+  }
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (!children[i]->Equals(*other.children[i])) return false;
+  }
+  return true;
 }
 
 ExprPtr Expr::Clone() const {

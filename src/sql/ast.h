@@ -33,7 +33,10 @@ enum class ExprKind {
 
 /// Parsed scalar expression node.
 struct Expr {
-  ExprKind kind;
+  // User-provided, so make_unique<Expr>() skips zero-filling the node.
+  Expr() {}
+
+  ExprKind kind = ExprKind::kLiteral;
 
   Value literal;                    // kLiteral
   std::string table;                // kColumnRef / kStar qualifier (optional)
@@ -43,10 +46,21 @@ struct Expr {
   bool case_has_else = false;       // kCase: children end with ELSE expr
   DataType cast_type = DataType::kBigInt;  // kCast
 
-  /// Canonical text form; used for GROUP BY matching and error messages.
+  /// Canonical text form; used for output column names and error messages.
   std::string ToString() const;
 
+  /// Structural equality, used to match GROUP BY keys and repeated
+  /// aggregates: same kind, operator, names, literal and children. Agrees
+  /// with comparing ToString() texts (function names compare
+  /// case-insensitively, literals by their rendering) without rendering
+  /// them; only quoted names containing '.' could tell the two apart.
+  bool Equals(const Expr& other) const;
+
   ExprPtr Clone() const;
+
+  // Nodes are recycled through a per-thread free list (see ast.cc).
+  static void* operator new(size_t size);
+  static void operator delete(void* p, size_t size);
 };
 
 ExprPtr MakeLiteral(Value v);

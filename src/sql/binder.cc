@@ -201,6 +201,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
         default:
           return Status::Internal("unexpected binary opcode at bind");
       }
+      e->children.reserve(2);
       e->children.push_back(std::move(l));
       e->children.push_back(std::move(r));
       return e;
@@ -227,6 +228,7 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, ColumnResolver* resolver) {
       auto e = std::make_unique<BoundExpr>();
       e->kind = BoundExprKind::kFunction;
       e->func = info.func;
+      e->children.reserve(expr.children.size());
       for (const auto& child : expr.children) {
         QY_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*child, resolver));
         e->children.push_back(std::move(b));
@@ -343,24 +345,19 @@ class SourceResolver : public ColumnResolver {
   const std::vector<BoundTable>* tables_;
 };
 
-/// Resolver for aggregate contexts: matches group keys textually, collects
-/// aggregate specs, forbids bare columns outside aggregates.
+/// Resolver for aggregate contexts: matches group keys structurally
+/// (Expr::Equals), collects aggregate specs (one per distinct call),
+/// forbids bare columns outside aggregates.
 class AggResolver : public ColumnResolver {
  public:
-  AggResolver(SourceResolver* source, const std::vector<std::string>* key_texts,
+  AggResolver(SourceResolver* source, const std::vector<const Expr*>* keys,
               const std::vector<DataType>* key_types,
-              std::vector<BoundAggSpec>* aggs,
-              std::vector<std::string>* agg_texts)
-      : source_(source),
-        key_texts_(key_texts),
-        key_types_(key_types),
-        aggs_(aggs),
-        agg_texts_(agg_texts) {}
+              std::vector<BoundAggSpec>* aggs)
+      : source_(source), keys_(keys), key_types_(key_types), aggs_(aggs) {}
 
   Result<BoundExprPtr> ResolveWhole(const Expr& expr) override {
-    std::string text = expr.ToString();
-    for (size_t i = 0; i < key_texts_->size(); ++i) {
-      if ((*key_texts_)[i] == text) {
+    for (size_t i = 0; i < keys_->size(); ++i) {
+      if ((*keys_)[i]->Equals(expr)) {
         return MakeBoundColumnRef(static_cast<int>(i), (*key_types_)[i]);
       }
     }
@@ -375,10 +372,9 @@ class AggResolver : public ColumnResolver {
   }
 
   Result<BoundExprPtr> ResolveAggregate(const Expr& expr) override {
-    std::string text = expr.ToString();
-    int num_keys = static_cast<int>(key_texts_->size());
-    for (size_t i = 0; i < agg_texts_->size(); ++i) {
-      if ((*agg_texts_)[i] == text) {
+    int num_keys = static_cast<int>(keys_->size());
+    for (size_t i = 0; i < agg_exprs_.size(); ++i) {
+      if (agg_exprs_[i]->Equals(expr)) {
         return MakeBoundColumnRef(num_keys + static_cast<int>(i),
                                   (*aggs_)[i].result_type);
       }
@@ -422,17 +418,17 @@ class AggResolver : public ColumnResolver {
       }
     }
     aggs_->push_back(std::move(spec));
-    agg_texts_->push_back(text);
+    agg_exprs_.push_back(&expr);
     return MakeBoundColumnRef(num_keys + static_cast<int>(aggs_->size()) - 1,
                               aggs_->back().result_type);
   }
 
  private:
   SourceResolver* source_;
-  const std::vector<std::string>* key_texts_;
+  const std::vector<const Expr*>* keys_;
   const std::vector<DataType>* key_types_;
   std::vector<BoundAggSpec>* aggs_;
-  std::vector<std::string>* agg_texts_;
+  std::vector<const Expr*> agg_exprs_;  ///< the call behind each aggs_ entry
 };
 
 /// Resolver over a plain output schema (ORDER BY binding).
@@ -461,10 +457,15 @@ bool ContainsAggregate(const Expr& expr) {
   return false;
 }
 
-/// Collect all column indices referenced by a bound expression.
-void CollectColumnRefs(const BoundExpr& e, std::vector<int>* out) {
-  if (e.kind == BoundExprKind::kColumnRef) out->push_back(e.col_idx);
-  for (const auto& c : e.children) CollectColumnRefs(*c, out);
+/// Which inputs of a join a bound expression over its combined layout reads:
+/// bit 0 = a column below `left_ncols` (left), bit 1 = one at or above it.
+int JoinSides(const BoundExpr& e, int left_ncols) {
+  int sides = 0;
+  if (e.kind == BoundExprKind::kColumnRef) {
+    sides = e.col_idx < left_ncols ? 1 : 2;
+  }
+  for (const auto& c : e.children) sides |= JoinSides(*c, left_ncols);
+  return sides;
 }
 
 /// Shift all column references by `delta` (rebase right-side join keys onto
@@ -534,8 +535,6 @@ class Binder {
       return Status::BindError("HAVING requires GROUP BY or aggregates");
     }
 
-    Schema project_input_schema =
-        plan ? plan->output_schema : Schema();
     std::vector<BoundExprPtr> item_exprs;
     std::vector<std::string> item_names;
 
@@ -699,7 +698,8 @@ class Binder {
     switch (tr.kind) {
       case TableRef::Kind::kBase: {
         Table* table = nullptr;
-        auto it = scope_.find(AsciiToLower(tr.table_name));
+        auto it = scope_.empty() ? scope_.end()
+                                 : scope_.find(AsciiToLower(tr.table_name));
         if (it != scope_.end()) {
           table = it->second;
         } else {
@@ -728,9 +728,7 @@ class Binder {
         return plan;
       }
       case TableRef::Kind::kJoin: {
-        std::vector<BoundTable> left_tables = *tables;
         QY_ASSIGN_OR_RETURN(PlanNodePtr left, BindTableRef(*tr.left, tables));
-        size_t left_end = tables->size();
         QY_ASSIGN_OR_RETURN(PlanNodePtr right, BindTableRef(*tr.right, tables));
         int left_ncols = static_cast<int>(left->output_schema.NumColumns());
         // Combined layout for condition binding.
@@ -738,12 +736,10 @@ class Binder {
 
         auto join = std::make_unique<PlanNode>();
         join->kind = PlanNode::Kind::kJoin;
-        for (const auto& col : left->output_schema.columns()) {
-          join->output_schema.AddColumn(col.name, col.type);
-        }
-        for (const auto& col : right->output_schema.columns()) {
-          join->output_schema.AddColumn(col.name, col.type);
-        }
+        std::vector<ColumnDef> columns = left->output_schema.columns();
+        columns.insert(columns.end(), right->output_schema.columns().begin(),
+                       right->output_schema.columns().end());
+        join->output_schema = Schema(std::move(columns));
         if (tr.join_condition) {
           std::vector<const Expr*> conjuncts;
           FlattenConjuncts(*tr.join_condition, &conjuncts);
@@ -755,27 +751,14 @@ class Binder {
                                   BindExpr(*conjunct->children[0], &combined));
               QY_ASSIGN_OR_RETURN(BoundExprPtr b,
                                   BindExpr(*conjunct->children[1], &combined));
-              std::vector<int> refs_a, refs_b;
-              CollectColumnRefs(*a, &refs_a);
-              CollectColumnRefs(*b, &refs_b);
-              auto all_left = [&](const std::vector<int>& refs) {
-                for (int r : refs) {
-                  if (r >= left_ncols) return false;
-                }
-                return true;
-              };
-              auto all_right = [&](const std::vector<int>& refs) {
-                for (int r : refs) {
-                  if (r < left_ncols) return false;
-                }
-                return true;
-              };
-              if (all_left(refs_a) && all_right(refs_b)) {
+              int sides_a = JoinSides(*a, left_ncols);
+              int sides_b = JoinSides(*b, left_ncols);
+              if (!(sides_a & 2) && !(sides_b & 1)) {
                 ShiftColumnRefs(b.get(), -left_ncols);
                 join->left_keys.push_back(std::move(a));
                 join->right_keys.push_back(std::move(b));
                 handled = true;
-              } else if (all_right(refs_a) && all_left(refs_b)) {
+              } else if (!(sides_a & 1) && !(sides_b & 2)) {
                 ShiftColumnRefs(a.get(), -left_ncols);
                 join->left_keys.push_back(std::move(b));
                 join->right_keys.push_back(std::move(a));
@@ -793,6 +776,7 @@ class Binder {
                 conj->kind = BoundExprKind::kBinary;
                 conj->op = OpCode::kAnd;
                 conj->type = DataType::kBool;
+                conj->children.reserve(2);
                 conj->children.push_back(std::move(residual));
                 conj->children.push_back(std::move(pred));
                 residual = std::move(conj);
@@ -803,10 +787,9 @@ class Binder {
           }
           join->residual = std::move(residual);
         }
+        join->children.reserve(2);
         join->children.push_back(std::move(left));
         join->children.push_back(std::move(right));
-        (void)left_tables;
-        (void)left_end;
         return join;
       }
     }
@@ -825,7 +808,7 @@ class Binder {
                          std::vector<std::string>* item_names) {
     if (!*plan) return Status::BindError("aggregation requires FROM");
     // Resolve GROUP BY expressions (with ordinal support).
-    std::vector<ExprPtr> group_asts;
+    std::vector<const Expr*> keys;
     for (const auto& g : select.group_by) {
       if (g->kind == ExprKind::kLiteral &&
           g->literal.type() == DataType::kBigInt && !g->literal.is_null()) {
@@ -833,25 +816,21 @@ class Binder {
         if (ordinal < 1 || ordinal > static_cast<int64_t>(select.items.size())) {
           return Status::BindError("GROUP BY ordinal out of range");
         }
-        group_asts.push_back(select.items[ordinal - 1].expr->Clone());
+        keys.push_back(select.items[ordinal - 1].expr.get());
       } else {
-        group_asts.push_back(g->Clone());
+        keys.push_back(g.get());
       }
     }
-    std::vector<std::string> key_texts;
     std::vector<DataType> key_types;
     auto agg_node = std::make_unique<PlanNode>();
     agg_node->kind = PlanNode::Kind::kAggregate;
-    for (const auto& g : group_asts) {
+    for (const Expr* g : keys) {
       QY_ASSIGN_OR_RETURN(BoundExprPtr key, BindExpr(*g, source));
-      key_texts.push_back(g->ToString());
       key_types.push_back(key->type);
       agg_node->group_keys.push_back(std::move(key));
     }
 
-    std::vector<std::string> agg_texts;
-    AggResolver agg_resolver(source, &key_texts, &key_types, &agg_node->aggs,
-                             &agg_texts);
+    AggResolver agg_resolver(source, &keys, &key_types, &agg_node->aggs);
     for (const auto& item : select.items) {
       if (item.expr->kind == ExprKind::kStar) {
         return Status::BindError("'*' in aggregate SELECT list");

@@ -56,15 +56,20 @@ struct NodeStats {
   double seconds = 0;
 };
 
-/// Accumulates elapsed wall time into `*acc` on destruction.
+/// Accumulates elapsed wall time into `*acc` on Stop() or destruction,
+/// whichever comes first.
 class ScopedTimer {
  public:
   explicit ScopedTimer(double* acc)
       : acc_(acc), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
+  ~ScopedTimer() { Stop(); }
+
+  void Stop() {
+    if (acc_ == nullptr) return;
     *acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start_)
                  .count();
+    acc_ = nullptr;
   }
 
  private:
@@ -395,7 +400,8 @@ class HashJoinNode : public ExecNode {
 
   ~HashJoinNode() override {
     if (ctx_->profile != nullptr && probe_rows_.load() > 0) {
-      ctx_->profile->Record("HashJoinProbe", probe_rows_.load(), 0.0);
+      ctx_->profile->Record("HashJoinProbe", probe_rows_.load(),
+                            static_cast<double>(probe_ns_.load()) * 1e-9);
     }
   }
 
@@ -403,7 +409,10 @@ class HashJoinNode : public ExecNode {
     ScopedTimer timer(&stats_.seconds);
     QY_RETURN_IF_ERROR(left_->Init());
     QY_RETURN_IF_ERROR(right_->Init());
-    // Build phase: materialize right side.
+    // Build phase: materialize right side, then hash it. Timed as
+    // HashJoinBuild (pulling the build child included).
+    double build_seconds = 0;
+    ScopedTimer build_timer(&build_seconds);
     while (true) {
       QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
       DataChunk in;
@@ -483,8 +492,9 @@ class HashJoinNode : public ExecNode {
         }
       }
     }
+    build_timer.Stop();
     if (ctx_->profile != nullptr) {
-      ctx_->profile->Record("HashJoinBuild", n, 0.0);
+      ctx_->profile->Record("HashJoinBuild", n, build_seconds);
     }
     // Morsel-driven parallel probe: enabled for equi-joins when a pool is
     // available. When the probe child is a bare table scan the workers pull
@@ -538,6 +548,7 @@ class HashJoinNode : public ExecNode {
   /// Probe one chunk and apply the residual predicate. Thread-safe after
   /// Init(): reads only the shared immutable build state.
   Status ProbeAndFilter(const DataChunk& probe, DataChunk* out) const {
+    auto start = std::chrono::steady_clock::now();
     DataChunk joined;
     QY_RETURN_IF_ERROR(ProbeChunk(probe, &joined));
     if (plan_.residual && joined.NumRows() > 0) {
@@ -548,6 +559,10 @@ class HashJoinNode : public ExecNode {
       joined = std::move(filtered);
     }
     *out = std::move(joined);
+    probe_ns_ += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
     return Status::OK();
   }
 
@@ -725,6 +740,8 @@ class HashJoinNode : public ExecNode {
   std::vector<int128_t> build_int_keys_;  ///< fast path: key of each build row
   EncodedKeyRows build_enc_;              ///< generic path: encoded key rows
   mutable std::atomic<uint64_t> probe_rows_{0};
+  /// Probe time summed over the threads that probed (HashJoinProbe).
+  mutable std::atomic<uint64_t> probe_ns_{0};
   // Parallel probe state.
   bool parallel_ = false;
   const Table* scan_source_ = nullptr;  ///< morsel source when probe is a scan

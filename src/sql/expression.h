@@ -50,15 +50,20 @@ enum class BoundExprKind {
 
 /// A typed, resolved expression tree ready for execution.
 struct BoundExpr {
-  BoundExprKind kind;
-  DataType type;  ///< result type
+  // User-provided, so make_unique<BoundExpr>() skips zero-filling the node.
+  BoundExpr() {}
+
+  // Field order keeps the node at 112 bytes, small enough for the
+  // allocator's fast free lists (a statement binds dozens of them).
+  Value literal;                  // kLiteral
+  std::vector<std::unique_ptr<BoundExpr>> children;
+  BoundExprKind kind = BoundExprKind::kLiteral;
+  DataType type = DataType::kBigInt;  ///< result type
 
   int col_idx = -1;               // kColumnRef
-  Value literal;                  // kLiteral
   OpCode op = OpCode::kAdd;       // kUnary / kBinary
   ScalarFunc func = ScalarFunc::kAbs;  // kFunction
   bool case_has_else = false;     // kCase
-  std::vector<std::unique_ptr<BoundExpr>> children;
 
   /// Evaluate over `input`, appending `input.NumRows()` values into `out`
   /// (out is cleared first and typed to `type`).

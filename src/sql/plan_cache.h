@@ -1,10 +1,13 @@
 /// \file plan_cache.h
 /// Bounded LRU cache of bound physical plans, keyed by raw SQL text.
 ///
-/// Qymera's materialized simulation loop issues the same handful of query
-/// shapes thousands of times (one CREATE TABLE ... AS SELECT per gate);
-/// parsing, binding and planning each repetition from scratch is pure
-/// overhead. The cache stores the bound plan together with its scan
+/// A hit skips parse, bind and plan, but only when the exact SQL text
+/// repeats: an ad-hoc query sent again verbatim, or a gate whose gate table,
+/// qubits and step parity all match an earlier gate's. In the simulator's
+/// per-gate loop that is rare, because qubit literals and per-angle gate
+/// tables differ from gate to gate: 2.2% of lookups hit on the sparse_deep
+/// benchmark workload, none on QFT (QFT-18: 0 hits, 181 misses). The cache
+/// stores the bound plan together with its scan
 /// dependencies: for every scan in the plan, the referenced table's *name*
 /// and a copy of its schema at plan time. A lookup re-resolves each name in
 /// the live catalog and compares schemas — if anything changed (table

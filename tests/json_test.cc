@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "service/protocol.h"
 
 namespace qy {
 namespace {
@@ -75,6 +76,40 @@ TEST(JsonTest, NumberFormatting) {
   auto doc = ParseJson(JsonValue(1e-300).Dump());
   ASSERT_TRUE(doc.ok());
   EXPECT_DOUBLE_EQ(doc->AsDouble(), 1e-300);
+}
+
+TEST(JsonTest, DeepNestingIsAParseErrorNotACrash) {
+  const std::string arrays(100000, '[');
+  auto doc = ParseJson(arrays);
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
+  EXPECT_NE(doc.status().message().find("offset"), std::string::npos);
+  EXPECT_NE(doc.status().message().find("nesting"), std::string::npos);
+
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  auto obj = ParseJson(objects);
+  ASSERT_FALSE(obj.ok());
+  EXPECT_EQ(obj.status().code(), StatusCode::kParseError);
+
+  // A hostile service frame fails in the request decoder, typed.
+  auto request = service::DecodeRequest(arrays);
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kParseError);
+  auto field = service::DecodeRequest(
+      R"({"op":"query","sql":"SELECT 1","extra":)" + arrays + "1");
+  ASSERT_FALSE(field.ok());
+  EXPECT_EQ(field.status().code(), StatusCode::kParseError);
+}
+
+TEST(JsonTest, NestingUpToTheLimitParses) {
+  std::string at_limit = std::string(kMaxJsonDepth, '[') + "1" +
+                         std::string(kMaxJsonDepth, ']');
+  auto doc = ParseJson(at_limit);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->Dump(), at_limit);
+  std::string past = "[" + at_limit + "]";
+  EXPECT_EQ(ParseJson(past).status().code(), StatusCode::kParseError);
 }
 
 }  // namespace

@@ -313,5 +313,37 @@ TEST(ParallelExecTest, ProfileRecordsOperators) {
   EXPECT_FALSE(db.profile().ToString().empty());
 }
 
+TEST(ParallelExecTest, JoinBuildAndProbeAreTimedAndCountedAtAnyWidth) {
+  constexpr int kProbeRows = 120000, kBuildRows = 64;
+  uint64_t build_rows[2] = {0, 0}, probe_rows[2] = {0, 0};
+  const size_t widths[2] = {1, 4};
+  for (int w = 0; w < 2; ++w) {
+    Database db = MakeDb(widths[w]);
+    FillBig(&db, "probe", kProbeRows, kBuildRows);
+    FillBig(&db, "build", kBuildRows, kBuildRows);
+    auto r = db.Execute(
+        "SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->GetInt64(0, 0), kProbeRows);
+    bool saw_build = false, saw_probe = false;
+    for (const OperatorProfile& op : db.profile().Snapshot()) {
+      if (op.name == "HashJoinBuild") {
+        saw_build = true;
+        build_rows[w] = op.rows_out;
+        EXPECT_GT(op.seconds, 0.0) << "threads=" << widths[w];
+      } else if (op.name == "HashJoinProbe") {
+        saw_probe = true;
+        probe_rows[w] = op.rows_out;
+        EXPECT_GT(op.seconds, 0.0) << "threads=" << widths[w];
+      }
+    }
+    EXPECT_TRUE(saw_build && saw_probe) << db.profile().ToString();
+  }
+  EXPECT_EQ(build_rows[0], static_cast<uint64_t>(kBuildRows));
+  EXPECT_EQ(build_rows[1], build_rows[0]);
+  EXPECT_EQ(probe_rows[0], static_cast<uint64_t>(kProbeRows));
+  EXPECT_EQ(probe_rows[1], probe_rows[0]);
+}
+
 }  // namespace
 }  // namespace qy::sql

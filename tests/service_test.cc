@@ -448,6 +448,48 @@ TEST(ServiceTest, SubmitQueryRoundTrip) {
   EXPECT_FALSE(svc.Submit(bad).ok());
 }
 
+TEST(ServiceTest, HostileSqlIsAnErrorResponseAndTheSessionServesOn) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  Service svc(options);
+  Request create;
+  create.op = Request::Op::kQuery;
+  create.session = "s";
+  create.sql = "CREATE TABLE t (v BIGINT)";
+  ASSERT_TRUE(svc.Submit(create).ok());
+
+  for (const std::string& sql :
+       {"SELECT " + std::string(30000, '(') + "1" + std::string(30000, ')'),
+        [] {
+          std::string s = "SELECT ";
+          for (int i = 0; i < 100000; ++i) s += "- ";
+          return s + "1";
+        }(),
+        [] {
+          std::string s = "SELECT ";
+          for (int i = 0; i < 100000; ++i) s += "NOT ";
+          return s + "TRUE";
+        }()}) {
+    Request hostile;
+    hostile.op = Request::Op::kQuery;
+    hostile.session = "s";
+    hostile.sql = sql;
+    Response refused = svc.Submit(hostile);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status.code(), StatusCode::kParseError);
+    EXPECT_FALSE(refused.status.IsRetryable());
+
+    Request next;
+    next.op = Request::Op::kQuery;
+    next.session = "s";
+    next.sql = "SELECT COUNT(*) FROM t";
+    Response rows = svc.Submit(next);
+    ASSERT_TRUE(rows.ok()) << rows.status.ToString();
+    ASSERT_EQ(rows.rows.size(), 1u);
+    EXPECT_EQ(rows.rows[0][0], "0");
+  }
+}
+
 TEST(ServiceTest, SubmitSimulateReturnsRunSummary) {
   ServiceOptions options;
   options.num_threads = 2;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sql/database.h"
 #include "sql/parser.h"
 #include "sql/tokenizer.h"
 
@@ -23,11 +24,12 @@ TEST(TokenizerTest, BasicTokens) {
 TEST(TokenizerTest, BitwiseAndShiftOperators) {
   auto tokens = Tokenize("a & ~b | c << 2 >> 1 ^ 3");
   ASSERT_TRUE(tokens.ok());
-  std::vector<std::string> symbols;
+  std::vector<std::string_view> symbols;
   for (const Token& t : *tokens) {
     if (t.type == TokenType::kSymbol) symbols.push_back(t.text);
   }
-  EXPECT_EQ(symbols, (std::vector<std::string>{"&", "~", "|", "<<", ">>", "^"}));
+  EXPECT_EQ(symbols,
+            (std::vector<std::string_view>{"&", "~", "|", "<<", ">>", "^"}));
 }
 
 TEST(TokenizerTest, FloatForms) {
@@ -252,6 +254,128 @@ TEST(ParserTest, ExplainWraps) {
   auto stmt = Parse("EXPLAIN SELECT 1");
   ASSERT_TRUE(stmt.ok());
   EXPECT_EQ(stmt->kind, Statement::Kind::kExplain);
+}
+
+// ---------------------------------------------------------------------------
+// Input bounds: nesting depth and token count
+// ---------------------------------------------------------------------------
+
+/// `count` copies of `piece`.
+std::string Repeat(const std::string& piece, int count) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) out += piece;
+  return out;
+}
+
+void ExpectNestingError(const std::string& sql) {
+  auto stmt = Parse(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  EXPECT_NE(stmt.status().message().find("parse error at offset"),
+            std::string::npos)
+      << stmt.status().ToString();
+  EXPECT_NE(stmt.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << stmt.status().ToString();
+}
+
+TEST(ParserLimitsTest, DeepParenthesesAreATypedError) {
+  ExpectNestingError("SELECT " + std::string(30000, '(') + "1" +
+                     std::string(30000, ')'));
+}
+
+TEST(ParserLimitsTest, ChainedPrefixOperatorsAreATypedError) {
+  ExpectNestingError("SELECT " + Repeat("- ", 100000) + "1");
+  ExpectNestingError("SELECT " + Repeat("NOT ", 100000) + "TRUE");
+  ExpectNestingError("SELECT " + Repeat("~", 100000) + "1");
+  ExpectNestingError("SELECT " + Repeat("+", 100000) + "1");
+}
+
+TEST(ParserLimitsTest, LongOperatorChainsAreATypedError) {
+  // A flat chain nests left-deep: every operator is one level of the tree.
+  ExpectNestingError("SELECT 1" + Repeat(" + 1", 100000));
+  ExpectNestingError("SELECT a FROM t WHERE a = 1" +
+                     Repeat(" AND a = 1", 5000));
+  ExpectNestingError("SELECT ABS(" + Repeat("ABS(", 5000) + "1" +
+                     std::string(5001, ')'));
+}
+
+TEST(ParserLimitsTest, DeepSubqueriesAndJoinChainsAreATypedError) {
+  ExpectNestingError(Repeat("SELECT * FROM (", 5000) + "SELECT 1" +
+                     Repeat(") q", 5000));
+  ExpectNestingError("SELECT * FROM t" + Repeat(", t", 5000));
+  ExpectNestingError("SELECT * FROM t" + Repeat(" JOIN t ON 1 = 1", 5000));
+}
+
+TEST(ParserLimitsTest, NestingWellWithinTheLimitRuns) {
+  // Parsed, bound, executed and torn down: the recursive passes after the
+  // parser must cope with everything the parser accepts.
+  Database db;
+  const int depth = kMaxNestingDepth - 100;
+  auto parens = db.Execute("SELECT " + std::string(depth, '(') + "7" +
+                           std::string(depth, ')') + " AS v");
+  ASSERT_TRUE(parens.ok()) << parens.status().ToString();
+  EXPECT_EQ(parens->GetInt64(0, 0), 7);
+  auto chain = db.Execute("SELECT 0" + Repeat(" + 1", depth) + " AS v");
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain->GetInt64(0, 0), depth);
+  auto negations = db.Execute("SELECT " + Repeat("- ", depth) + "1 AS v");
+  ASSERT_TRUE(negations.ok()) << negations.status().ToString();
+  EXPECT_EQ(negations->GetInt64(0, 0), depth % 2 == 0 ? 1 : -1);
+  // Every precedence level at every nesting level, the deepest recursion
+  // per level the parser has: each level nests 10 operands.
+  const std::string level = "1 OR 1 AND 1 = 1 | 1 ^ 1 & 1 << 1 + 1 * (";
+  const int levels = kMaxNestingDepth / 20;
+  auto climb = Parse("SELECT " + Repeat(level, levels) + "1" +
+                     std::string(levels, ')'));
+  ASSERT_TRUE(climb.ok()) << climb.status().ToString();
+  ExpectNestingError("SELECT " + Repeat(level, kMaxNestingDepth) + "1" +
+                     std::string(kMaxNestingDepth, ')'));
+  // Nested SELECTs and join chains run at that depth too.
+  auto subqueries = db.Execute(Repeat("SELECT * FROM (", depth) +
+                               "SELECT 7 AS v" + Repeat(") q", depth));
+  ASSERT_TRUE(subqueries.ok()) << subqueries.status().ToString();
+  EXPECT_EQ(subqueries->GetInt64(0, 0), 7);
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE one (a BIGINT);"
+                               "INSERT INTO one VALUES (1)")
+                  .ok());
+  auto joins = db.Execute("SELECT COUNT(*) FROM one" +
+                          Repeat(" JOIN one AS o ON 1 = 1", depth));
+  ASSERT_TRUE(joins.ok()) << joins.status().ToString();
+  EXPECT_EQ(joins->GetInt64(0, 0), 1);
+  // Just past the limit is refused, however it is nested.
+  ExpectNestingError("SELECT " + std::string(kMaxNestingDepth, '(') + "1" +
+                     std::string(kMaxNestingDepth, ')'));
+  ExpectNestingError("SELECT 0" + Repeat(" + 1", kMaxNestingDepth));
+}
+
+TEST(ParserLimitsTest, TokenCountIsBounded) {
+  std::string sql = "SELECT 1" + Repeat(",1", static_cast<int>(kMaxTokens));
+  auto tokens = Tokenize(sql);
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_NE(tokens.status().message().find("lex error at offset"),
+            std::string::npos);
+  auto stmt = Parse(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(stmt.status().message(), tokens.status().message());
+  EXPECT_FALSE(ParseScript(sql).ok());
+}
+
+TEST(TokenizerTest, TokensOutliveTheSourceString) {
+  // The list keeps its own copy of the text: a temporary source is fine.
+  auto tokens = Tokenize(std::string("SELECT 'it''s', \"q\" FROM t0"));
+  ASSERT_TRUE(tokens.ok());
+  EXPECT_EQ((*tokens)[0].text, "SELECT");
+  EXPECT_EQ((*tokens)[1].text, "it's");
+  EXPECT_EQ((*tokens)[3].text, "q");
+  EXPECT_EQ((*tokens)[5].text, "t0");
+  TokenList moved = std::move(tokens).value();
+  EXPECT_EQ(moved[1].text, "it's");
+  EXPECT_EQ(moved[0].keyword, Keyword::kSelect);
+  EXPECT_EQ(moved[2].symbol, Symbol::kComma);
 }
 
 }  // namespace
