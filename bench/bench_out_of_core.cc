@@ -2,14 +2,19 @@
 /// Experiment E9 — out-of-core simulation (paper Sec. 3.3): sweep the memory
 /// budget below the working set and show the relational backend completing
 /// via aggregate spill while in-memory backends fail. Also ablates
-/// spill-disabled to isolate the mechanism.
+/// spill-disabled to isolate the mechanism. The micro cases time the spill
+/// round trip's parts: CRC32C throughput over one spill page and a budgeted
+/// EqualSuperposition(15) on one engine thread next to its in-memory twin.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "bench/report.h"
 #include "bench/runner.h"
 #include "circuit/families.h"
+#include "common/checksum.h"
+#include "core/qymera_sim.h"
 
 namespace {
 
@@ -91,6 +96,47 @@ void BM_InMemoryUnlimited(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InMemoryUnlimited)->Unit(benchmark::kMillisecond);
+
+/// CRC32C over one ~1 MiB spill page; reports bytes/s.
+template <uint32_t (*Crc)(const void*, size_t, uint32_t)>
+void BM_Crc32c(benchmark::State& state) {
+  std::string page(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<char>(i * 2654435761u >> 13);
+  }
+  for (auto _ : state) {
+    uint32_t crc = Crc(page.data(), page.size(), 0);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_Crc32c, Crc32c)->Arg(1 << 20);
+BENCHMARK_TEMPLATE(BM_Crc32c, internal::Crc32cPortable)->Arg(1 << 20);
+
+/// EqualSuperposition(15) on one engine thread; range(0) = budget bytes per
+/// 2^n rows (0 = unlimited). 70 B/row is the perfbench out_of_core budget,
+/// under which the late gates' aggregations spill.
+void BM_Superposition15(benchmark::State& state) {
+  constexpr int kN = 15;
+  qc::QuantumCircuit circuit = qc::EqualSuperposition(kN);
+  core::QymeraOptions qopts;
+  qopts.num_threads = 1;
+  if (state.range(0) > 0) {
+    qopts.base.memory_budget_bytes =
+        (uint64_t{1} << kN) * static_cast<uint64_t>(state.range(0));
+  }
+  for (auto _ : state) {
+    core::QymeraSimulator simulator(qopts);
+    auto result = simulator.Run(circuit);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result->NumNonZero());
+  }
+}
+BENCHMARK(BM_Superposition15)->Arg(0)->Arg(70)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,12 +15,20 @@
 namespace qy {
 
 /// CRC32C of `data[0..n)`, continuing from `acc` (pass the previous return
-/// value to checksum data in chunks; 0 starts a fresh checksum).
+/// value to checksum data in chunks; 0 starts a fresh checksum). Uses the
+/// SSE4.2 `crc32` instruction when the CPU has it (checked once).
 uint32_t Crc32c(const void* data, size_t n, uint32_t acc = 0);
 
 inline uint32_t Crc32c(const std::string& s, uint32_t acc = 0) {
   return Crc32c(s.data(), s.size(), acc);
 }
+
+namespace internal {
+/// The portable table-driven CRC32C: the path for CPUs without SSE4.2 and
+/// the reference the hardware path is tested against. Same contract as
+/// Crc32c.
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t acc = 0);
+}  // namespace internal
 
 /// 64-bit FNV-1a content hash (not cryptographic; collision-resistant enough
 /// for "does this checkpoint belong to this circuit" manifest checks).

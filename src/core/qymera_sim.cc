@@ -10,38 +10,6 @@ namespace qy::core {
 
 namespace {
 
-/// Checkpoint payload for the SQL backend: the sparse state read back from
-/// the current intermediate table (exact, eps = 0).
-std::string EncodeSparseState(const sim::SparseState& state) {
-  sim::BlobWriter w;
-  w.U64(state.amplitudes().size());
-  for (const auto& [idx, amp] : state.amplitudes()) {
-    w.Index(idx);
-    w.C128(amp);
-  }
-  return w.TakeBytes();
-}
-
-Result<sim::SparseState> DecodeSparseState(const std::string& payload, int n) {
-  sim::BlobReader r(payload);
-  uint64_t nnz;
-  QY_RETURN_IF_ERROR(r.U64(&nnz));
-  std::vector<std::pair<BasisIndex, sim::Complex>> amps;
-  amps.reserve(nnz);
-  BasisIndex limit = BasisIndex{1} << n;
-  for (uint64_t i = 0; i < nnz; ++i) {
-    BasisIndex idx;
-    sim::Complex amp;
-    QY_RETURN_IF_ERROR(r.Index(&idx));
-    QY_RETURN_IF_ERROR(r.C128(&amp));
-    if (idx >= limit) {
-      return Status::DataLoss("checkpoint amplitude index out of range");
-    }
-    amps.emplace_back(idx, amp);
-  }
-  return sim::SparseState(n, std::move(amps));
-}
-
 /// One-line rendering of the database's plan-cache counters, appended to the
 /// operator profile (CLI --stats).
 std::string PlanCacheLine(const sql::Database& db) {
@@ -120,7 +88,9 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
   sim::SparseState initial_state = sim::SparseState::ZeroState(n);
   if (start_step > 0) {
     initial_table = translation.steps[start_step - 1].output_table;
-    QY_ASSIGN_OR_RETURN(initial_state, DecodeSparseState(resume_payload, n));
+    QY_ASSIGN_OR_RETURN(sim::AmplitudeList amps,
+                        sim::DecodeAmplitudes(resume_payload, n));
+    initial_state = sim::SparseState(n, std::move(amps));
   }
   QY_RETURN_IF_ERROR(
       MaterializeStateTable(db, initial_table, initial_state, use_hugeint));
@@ -174,7 +144,7 @@ Result<RunSummary> QymeraSimulator::ExecuteInternal(
           ser_status = state.status();
           return std::string();
         }
-        return EncodeSparseState(*state);
+        return sim::EncodeAmplitudes(state->amplitudes());
       }));
       QY_RETURN_IF_ERROR(ser_status);
     }

@@ -126,6 +126,33 @@ Status BlobReader::Index(BasisIndex* idx) {
   return Status::OK();
 }
 
+Result<AmplitudeList> DecodeAmplitudes(const std::string& payload,
+                                       int num_qubits) {
+  constexpr size_t kEntryBytes = 2 * sizeof(uint64_t) + 2 * sizeof(double);
+  BlobReader r(payload);
+  uint64_t nnz = 0;
+  QY_RETURN_IF_ERROR(r.U64(&nnz));
+  if (nnz > r.remaining() / kEntryBytes) {
+    return Status::DataLoss("checkpoint claims " + std::to_string(nnz) +
+                            " amplitudes but holds " +
+                            std::to_string(r.remaining()) + " payload bytes");
+  }
+  AmplitudeList amps;
+  amps.reserve(nnz);
+  BasisIndex limit = BasisIndex{1} << num_qubits;
+  for (uint64_t i = 0; i < nnz; ++i) {
+    BasisIndex idx;
+    Complex amp;
+    QY_RETURN_IF_ERROR(r.Index(&idx));
+    QY_RETURN_IF_ERROR(r.C128(&amp));
+    if (idx >= limit) {
+      return Status::DataLoss("checkpoint amplitude index out of range");
+    }
+    amps.emplace_back(idx, amp);
+  }
+  return amps;
+}
+
 CheckpointStore::CheckpointStore(std::string dir)
     : dir_(std::move(dir)), path_(dir_ + "/" + kCheckpointFile) {}
 

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.h"
 #include "sim/simulator.h"
@@ -69,6 +71,7 @@ class BlobReader {
   Status Index(BasisIndex* idx);
 
   bool AtEnd() const { return pos_ >= bytes_.size(); }
+  size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   Status Raw(void* dst, size_t n);
@@ -76,6 +79,32 @@ class BlobReader {
   const std::string& bytes_;
   size_t pos_ = 0;
 };
+
+/// (index, amplitude) pairs of a sparse state.
+using AmplitudeList = std::vector<std::pair<BasisIndex, Complex>>;
+
+/// Checkpoint payload of the statevector, sparse, dd and qymera-sql
+/// backends, the nonzero amplitudes in the backend's iteration order:
+///
+///   payload := [nnz:u64] ([index lo:u64][index hi:u64][re:f64][im:f64])*nnz
+///
+/// `amps` is any range of (index, amplitude) pairs (a vector or a map).
+template <typename Range>
+std::string EncodeAmplitudes(const Range& amps) {
+  BlobWriter w;
+  w.U64(amps.size());
+  for (const auto& [idx, amp] : amps) {
+    w.Index(idx);
+    w.C128(amp);
+  }
+  return w.TakeBytes();
+}
+
+/// Decode an EncodeAmplitudes payload, in payload order. kDataLoss when nnz
+/// claims more entries than the payload holds (checked before anything is
+/// allocated) or an index lies outside [0, 2^num_qubits).
+Result<AmplitudeList> DecodeAmplitudes(const std::string& payload,
+                                       int num_qubits);
 
 /// Digest of the SimOptions fields that influence the simulated state
 /// (prune epsilon, MPS bond limits). Recorded in the manifest so a resume

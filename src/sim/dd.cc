@@ -347,22 +347,8 @@ Result<SparseState> DdSimulator::Run(const qc::QuantumCircuit& circuit) {
   QY_ASSIGN_OR_RETURN(uint64_t start_gate, ckpt.Begin(&resume_payload));
   if (!resume_payload.empty()) {
     // The payload is the exact (eps = 0) amplitude list; rebuild the DD.
-    BlobReader r(resume_payload);
-    uint64_t nnz;
-    QY_RETURN_IF_ERROR(r.U64(&nnz));
-    std::vector<std::pair<BasisIndex, Complex>> amps;
-    amps.reserve(nnz);
-    BasisIndex limit = BasisIndex{1} << n;
-    for (uint64_t i = 0; i < nnz; ++i) {
-      BasisIndex idx;
-      Complex amp;
-      QY_RETURN_IF_ERROR(r.Index(&idx));
-      QY_RETURN_IF_ERROR(r.C128(&amp));
-      if (idx >= limit) {
-        return Status::DataLoss("checkpoint amplitude index out of range");
-      }
-      amps.emplace_back(idx, amp);
-    }
+    QY_ASSIGN_OR_RETURN(AmplitudeList amps,
+                        DecodeAmplitudes(resume_payload, n));
     std::sort(amps.begin(), amps.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (size_t i = 1; i < amps.size(); ++i) {
@@ -373,15 +359,9 @@ Result<SparseState> DdSimulator::Run(const qc::QuantumCircuit& circuit) {
     state = ctx.BuildFromAmplitudes(amps, n);
   }
   auto serialize = [&] {
-    std::vector<std::pair<BasisIndex, Complex>> amps;
+    AmplitudeList amps;
     ctx.ExtractAmplitudes(state, n, /*eps=*/0.0, &amps);
-    BlobWriter w;
-    w.U64(amps.size());
-    for (const auto& [idx, amp] : amps) {
-      w.Index(idx);
-      w.C128(amp);
-    }
-    return w.TakeBytes();
+    return EncodeAmplitudes(amps);
   };
 
   const std::vector<qc::Gate>& gates = circuit.gates();

@@ -33,29 +33,14 @@ Result<SparseState> SparseSimulator::Run(const qc::QuantumCircuit& circuit) {
   std::string resume_payload;
   QY_ASSIGN_OR_RETURN(uint64_t start_gate, ckpt.Begin(&resume_payload));
   if (!resume_payload.empty()) {
-    BlobReader r(resume_payload);
-    uint64_t nnz;
-    QY_RETURN_IF_ERROR(r.U64(&nnz));
+    QY_ASSIGN_OR_RETURN(AmplitudeList amps,
+                        DecodeAmplitudes(resume_payload, n));
     state.clear();
-    state.reserve(nnz);
-    for (uint64_t i = 0; i < nnz; ++i) {
-      BasisIndex idx;
-      Complex amp;
-      QY_RETURN_IF_ERROR(r.Index(&idx));
-      QY_RETURN_IF_ERROR(r.C128(&amp));
-      state[idx] = amp;
-    }
+    state.reserve(amps.size());
+    for (const auto& [idx, amp] : amps) state[idx] = amp;
     peak_entries = std::max<uint64_t>(peak_entries, state.size());
   }
-  auto serialize = [&] {
-    BlobWriter w;
-    w.U64(state.size());
-    for (const auto& [idx, amp] : state) {
-      w.Index(idx);
-      w.C128(amp);
-    }
-    return w.TakeBytes();
-  };
+  auto serialize = [&] { return EncodeAmplitudes(state); };
 
   double cut = options_.prune_epsilon * options_.prune_epsilon;
   const std::vector<qc::Gate>& gates = circuit.gates();

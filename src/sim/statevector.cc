@@ -45,35 +45,17 @@ Result<SparseState> StatevectorSimulator::Run(
   if (!resume_payload.empty()) {
     // The payload is the sparse nonzero list; scatter it into the dense
     // vector (everything else is an exact zero by construction).
+    QY_ASSIGN_OR_RETURN(AmplitudeList amps,
+                        DecodeAmplitudes(resume_payload, n));
     vec[0] = Complex{0, 0};
-    BlobReader r(resume_payload);
-    uint64_t nnz;
-    QY_RETURN_IF_ERROR(r.U64(&nnz));
-    for (uint64_t i = 0; i < nnz; ++i) {
-      BasisIndex idx;
-      Complex amp;
-      QY_RETURN_IF_ERROR(r.Index(&idx));
-      QY_RETURN_IF_ERROR(r.C128(&amp));
-      if (idx >= (BasisIndex{1} << n)) {
-        return Status::DataLoss("checkpoint amplitude index out of range");
-      }
-      vec[static_cast<uint64_t>(idx)] = amp;
-    }
+    for (const auto& [idx, amp] : amps) vec[static_cast<uint64_t>(idx)] = amp;
   }
   auto serialize = [&] {
-    BlobWriter w;
-    uint64_t nnz = 0;
-    for (const Complex& a : vec) {
-      if (a != Complex{0, 0}) ++nnz;
+    AmplitudeList nonzero;
+    for (uint64_t idx = 0; idx < vec.size(); ++idx) {
+      if (vec[idx] != Complex{0, 0}) nonzero.emplace_back(idx, vec[idx]);
     }
-    w.U64(nnz);
-    for (uint64_t idx = 0; idx < (uint64_t{1} << n); ++idx) {
-      if (vec[idx] != Complex{0, 0}) {
-        w.Index(BasisIndex{idx});
-        w.C128(vec[idx]);
-      }
-    }
-    return w.TakeBytes();
+    return EncodeAmplitudes(nonzero);
   };
 
   const std::vector<qc::Gate>& gates = circuit.gates();

@@ -27,16 +27,9 @@ namespace {
 constexpr int kNumPartitions = 16;
 constexpr int kMaxDepth = 4;
 
-/// Legacy FNV over SerializeValue bytes — still the hash that routes groups
-/// to spill partitions (GroupHash/RouteRecord must agree across processes
-/// and PRs, so it is independent of the in-memory table's hash).
-uint64_t HashBytes(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+template <typename T>
+void AppendRaw(std::string* buf, const T& v) {
+  buf->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
 /// Partial aggregate state for one (group, agg) pair.
@@ -64,6 +57,7 @@ class GroupTable {
     keys_fixed_ = true;
     for (const auto& k : plan.group_keys) {
       if (k->type == DataType::kVarchar) keys_fixed_ = false;
+      key_stride_ += 1 + static_cast<size_t>(TypeWidthBytes(k->type));
     }
     key_offsets_.push_back(0);
   }
@@ -237,82 +231,167 @@ class GroupTable {
     }
   }
 
-  /// Merge a serialized partial state into this table.
-  Status MergeRecord(const std::string& record) {
-    ByteReader reader(record.data(), record.size());
-    // Keys.
-    std::vector<Value> key_values(plan_.group_keys.size());
-    for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
-      QY_RETURN_IF_ERROR(
-          reader.ReadValue(plan_.group_keys[k]->type, &key_values[k]));
-    }
-    uint32_t group = GroupIndexFromValues(key_values);
-    for (size_t agg = 0; agg < plan_.aggs.size(); ++agg) {
-      Accum incoming;
-      uint8_t has;
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&has, 1));
-      incoming.has = has != 0;
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&incoming.f64, sizeof(double)));
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&incoming.i128, sizeof(int128_t)));
-      QY_RETURN_IF_ERROR(reader.ReadBytes(&incoming.count, sizeof(int64_t)));
-      const BoundAggSpec& spec = plan_.aggs[agg];
-      if (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) {
-        QY_RETURN_IF_ERROR(
-            reader.ReadValue(spec.result_type, &incoming.minmax));
+  /// Serialize group `g` as one spill record:
+  ///
+  ///   record := [route_hash:u64] key state*
+  ///   key    := the group's key row in the EncodeKeyRows encoding (fixed
+  ///             stride without VARCHAR keys, else SerializeValue bytes;
+  ///             absent without GROUP BY)
+  ///   state  := per aggregate, only what EmitChunk reads:
+  ///             COUNT       [count:i64]
+  ///             SUM         [has:u8][sum:f64 or i128, by result type]
+  ///             AVG         [has:u8][sum:f64][count:i64]
+  ///             MIN/MAX     [has:u8] then, when has, SerializeRawValue
+  ///
+  /// `route_hash` is GroupHash(g), stored so re-routing a record to a deeper
+  /// partition needs no key decoding.
+  void SerializeGroup(uint32_t g, uint64_t route_hash, std::string* buf) const {
+    AppendRaw(buf, route_hash);
+    if (fast_) {
+      // The fixed-stride encoding of the one integer key column; a NULL's
+      // stored key is 0, which is also its zero-filled payload.
+      buf->push_back(fast_nulls_[g] != 0 ? 0 : 1);
+      if (key_store_.columns[0].type() == DataType::kBigInt) {
+        AppendRaw(buf, static_cast<int64_t>(fast_keys_[g]));
+      } else {
+        AppendRaw(buf, fast_keys_[g]);
       }
-      Accum& a = accums_[agg][group];
-      a.f64 += incoming.f64;
-      a.i128 += incoming.i128;
-      a.count += incoming.count;
-      if (incoming.has) {
-        if ((spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) &&
-            a.has) {
-          int c = incoming.minmax.Compare(a.minmax);
-          if ((spec.func == AggFunc::kMin && c < 0) ||
-              (spec.func == AggFunc::kMax && c > 0)) {
-            a.minmax = incoming.minmax;
+    } else if (!plan_.group_keys.empty()) {
+      buf->append(key_bytes_.data() + key_offsets_[g],
+                  key_offsets_[g + 1] - key_offsets_[g]);
+    }
+    for (size_t agg = 0; agg < plan_.aggs.size(); ++agg) {
+      const Accum& a = accums_[agg][g];
+      const BoundAggSpec& spec = plan_.aggs[agg];
+      switch (spec.func) {
+        case AggFunc::kCountStar:
+        case AggFunc::kCount:
+          AppendRaw(buf, a.count);
+          break;
+        case AggFunc::kSum:
+          buf->push_back(a.has ? 1 : 0);
+          if (spec.result_type == DataType::kDouble) {
+            AppendRaw(buf, a.f64);
+          } else {
+            AppendRaw(buf, a.i128);
           }
-        } else if (!a.has) {
-          a.minmax = incoming.minmax;
+          break;
+        case AggFunc::kAvg:
+          buf->push_back(a.has ? 1 : 0);
+          AppendRaw(buf, a.f64);
+          AppendRaw(buf, a.count);
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          buf->push_back(a.has ? 1 : 0);
+          if (a.has) SerializeRawValue(a.minmax, buf);
+          break;
+      }
+    }
+  }
+
+  /// Merge a record written by SerializeGroup into this table. Sums add in
+  /// record order, exactly as the in-memory updates do.
+  Status MergeRecord(std::string_view record) {
+    ByteReader reader(record.data(), record.size());
+    QY_RETURN_IF_ERROR(reader.Skip(sizeof(uint64_t)));  // route hash
+    uint32_t group = 0;
+    QY_RETURN_IF_ERROR(FindOrInsertRecordKey(record, &reader, &group));
+    for (size_t agg = 0; agg < plan_.aggs.size(); ++agg) {
+      const BoundAggSpec& spec = plan_.aggs[agg];
+      Accum& a = accums_[agg][group];
+      uint8_t has = 0;
+      switch (spec.func) {
+        case AggFunc::kCountStar:
+        case AggFunc::kCount: {
+          int64_t count = 0;
+          QY_RETURN_IF_ERROR(reader.Read(&count));
+          a.count += count;
+          break;
         }
-        a.has = true;
+        case AggFunc::kSum:
+          QY_RETURN_IF_ERROR(reader.Read(&has));
+          if (spec.result_type == DataType::kDouble) {
+            double sum = 0;
+            QY_RETURN_IF_ERROR(reader.Read(&sum));
+            a.f64 += sum;
+          } else {
+            int128_t sum = 0;
+            QY_RETURN_IF_ERROR(reader.Read(&sum));
+            a.i128 += sum;
+          }
+          if (has != 0) a.has = true;
+          break;
+        case AggFunc::kAvg: {
+          double sum = 0;
+          int64_t count = 0;
+          QY_RETURN_IF_ERROR(reader.Read(&has));
+          QY_RETURN_IF_ERROR(reader.Read(&sum));
+          QY_RETURN_IF_ERROR(reader.Read(&count));
+          a.f64 += sum;
+          a.count += count;
+          if (has != 0) a.has = true;
+          break;
+        }
+        case AggFunc::kMin:
+        case AggFunc::kMax: {
+          QY_RETURN_IF_ERROR(reader.Read(&has));
+          if (has == 0) break;
+          Value v;
+          QY_RETURN_IF_ERROR(reader.ReadValue(spec.result_type, &v));
+          if (!a.has) {
+            a.minmax = std::move(v);
+          } else {
+            int c = v.Compare(a.minmax);
+            if ((spec.func == AggFunc::kMin && c < 0) ||
+                (spec.func == AggFunc::kMax && c > 0)) {
+              a.minmax = std::move(v);
+            }
+          }
+          a.has = true;
+          break;
+        }
       }
     }
     return Status::OK();
   }
 
-  /// Serialize group `g` (keys + all partial states).
-  void SerializeGroup(uint32_t g, std::string* buf) const {
-    for (const auto& col : key_store_.columns) {
-      SerializeValue(col, g, buf);
-    }
-    for (size_t agg = 0; agg < plan_.aggs.size(); ++agg) {
-      const Accum& a = accums_[agg][g];
-      buf->push_back(a.has ? 1 : 0);
-      buf->append(reinterpret_cast<const char*>(&a.f64), sizeof(double));
-      buf->append(reinterpret_cast<const char*>(&a.i128), sizeof(int128_t));
-      buf->append(reinterpret_cast<const char*>(&a.count), sizeof(int64_t));
-      const BoundAggSpec& spec = plan_.aggs[agg];
-      if (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) {
-        SerializeRawValue(a.minmax, buf);
-      }
-    }
-  }
-
-  /// Hash of group g's key (for partitioning).
+  /// Hash that routes group g to a spill partition. It is independent of
+  /// the in-memory table's hash and must not change: partition placement
+  /// decides the output order of spilled aggregates. Integer keys hash their
+  /// value (NULL: kIntNullKeyHash); other keys FNV-1a their SerializeValue
+  /// bytes.
   uint64_t GroupHash(uint32_t g) const {
     if (plan_.group_keys.empty()) return 0;
     if (fast_) {
-      const ColumnVector& kc = key_store_.columns[0];
-      if (kc.IsNull(g)) return 0x1234567;
-      int128_t v = kc.type() == DataType::kBigInt
-                       ? static_cast<int128_t>(kc.i64_data()[g])
-                       : kc.i128_data()[g];
-      return HashUInt128(static_cast<uint128_t>(v));
+      return fast_nulls_[g] != 0 ? kIntNullKeyHash : HashIntKey(fast_keys_[g]);
     }
-    std::string key;
-    for (const auto& col : key_store_.columns) SerializeValue(col, g, &key);
-    return HashBytes(key);
+    const char* key = key_bytes_.data() + key_offsets_[g];
+    if (!keys_fixed_) {
+      return HashBytes64(key, key_offsets_[g + 1] - key_offsets_[g]);
+    }
+    // The fixed-stride encoding pads a NULL's payload; SerializeValue does
+    // not, so hash only the valid byte of a NULL column.
+    uint64_t h = kFnvOffsetBasis;
+    for (const auto& col : key_store_.columns) {
+      size_t width = 1 + static_cast<size_t>(TypeWidthBytes(col.type()));
+      h = HashBytes64(key, key[0] == 0 ? 1 : width, h);
+      key += width;
+    }
+    return h;
+  }
+
+  /// Routing hash of a record written by SerializeGroup, for re-routing it
+  /// to a deeper partition. A NULL integer key routes here by the FNV-1a of
+  /// its one-byte serialized form, not by kIntNullKeyHash as in GroupHash:
+  /// both placements predate the stored hash and are kept as they were.
+  Status RouteHash(std::string_view record, uint64_t* hash) const {
+    if (record.size() < sizeof(uint64_t) + (fast_ ? 1 : 0)) {
+      return Status::DataLoss("spill record truncated");
+    }
+    std::memcpy(hash, record.data(), sizeof(uint64_t));
+    if (fast_ && record[sizeof(uint64_t)] == 0) *hash = HashBytes64("", 1);
+    return Status::OK();
   }
 
   /// Emit groups [from, from+count) as an output chunk (keys ++ agg results).
@@ -394,59 +473,132 @@ class GroupTable {
     for (auto& a : accums_) a.emplace_back();
   }
 
-  uint32_t GroupIndexFromValues(const std::vector<Value>& values) {
+  /// Find or create the group of the key at `reader`'s position in `record`
+  /// (the key part of a SerializeGroup record), advancing past it.
+  Status FindOrInsertRecordKey(std::string_view record, ByteReader* reader,
+                               uint32_t* group) {
     if (plan_.group_keys.empty()) {
       EnsureScalarGroup();
-      return 0;
+      *group = 0;
+      return Status::OK();
     }
+    const char* key = record.data() + reader->position();
     bool inserted = false;
-    uint32_t id;
     if (fast_) {
-      const Value& v = values[0];
-      bool is_null = v.is_null();
-      int128_t key = is_null ? 0 : v.AsHugeInt();
-      uint64_t hash = is_null ? kIntNullKeyHash : HashIntKey(key);
-      id = index_.FindOrInsert(
-          hash, static_cast<uint32_t>(key_store_.NumRows()),
+      uint8_t valid = 0;
+      int128_t value = 0;
+      QY_RETURN_IF_ERROR(reader->Read(&valid));
+      ColumnVector& col = key_store_.columns[0];
+      if (col.type() == DataType::kBigInt) {
+        int64_t v = 0;
+        QY_RETURN_IF_ERROR(reader->Read(&v));
+        value = v;
+      } else {
+        QY_RETURN_IF_ERROR(reader->Read(&value));
+      }
+      bool is_null = valid == 0;
+      if (is_null) value = 0;
+      *group = index_.FindOrInsert(
+          is_null ? kIntNullKeyHash : HashIntKey(value),
+          static_cast<uint32_t>(key_store_.NumRows()),
           [&](uint32_t g) {
-            return (fast_nulls_[g] != 0) == is_null && fast_keys_[g] == key;
+            return (fast_nulls_[g] != 0) == is_null && fast_keys_[g] == value;
           },
           &inserted);
       if (inserted) {
-        fast_keys_.push_back(key);
+        fast_keys_.push_back(value);
         fast_nulls_.push_back(is_null ? 1 : 0);
-        AppendGroupValues(values);
+        if (is_null) {
+          col.AppendNull();
+        } else if (col.type() == DataType::kBigInt) {
+          col.AppendBigInt(static_cast<int64_t>(value));
+        } else {
+          col.AppendHugeInt(value);
+        }
+        for (auto& a : accums_) a.emplace_back();
       }
-      return id;
+      return Status::OK();
     }
-    // Same canonical bytes EncodeKeyRows produces for an equal row, so the
-    // chunk path and this Value path always agree.
-    std::string key;
-    EncodeKeyValues(values, keys_fixed_, &key);
-    uint64_t hash = HashBytes64(key.data(), key.size());
-    id = index_.FindOrInsert(
-        hash, static_cast<uint32_t>(key_store_.NumRows()),
-        [&](uint32_t g) { return GroupKeyEquals(g, key.data(), key.size()); },
-        &inserted);
+    if (keys_fixed_) {
+      QY_RETURN_IF_ERROR(reader->Skip(key_stride_));
+    } else {
+      for (const auto& col : key_store_.columns) {
+        uint8_t valid = 0;
+        QY_RETURN_IF_ERROR(reader->Read(&valid));
+        if (valid == 0) continue;
+        if (col.type() == DataType::kVarchar) {
+          uint32_t len = 0;
+          QY_RETURN_IF_ERROR(reader->Read(&len));
+          QY_RETURN_IF_ERROR(reader->Skip(len));
+        } else {
+          QY_RETURN_IF_ERROR(
+              reader->Skip(static_cast<size_t>(TypeWidthBytes(col.type()))));
+        }
+      }
+    }
+    size_t len = record.data() + reader->position() - key;
+    *group = index_.FindOrInsert(
+        HashBytes64(key, len), static_cast<uint32_t>(key_store_.NumRows()),
+        [&](uint32_t g) { return GroupKeyEquals(g, key, len); }, &inserted);
     if (inserted) {
-      key_bytes_.append(key);
+      key_bytes_.append(key, len);
       key_offsets_.push_back(static_cast<uint32_t>(key_bytes_.size()));
-      AppendGroupValues(values);
+      AppendKeyRow(key);
+      for (auto& a : accums_) a.emplace_back();
     }
-    return id;
+    return Status::OK();
   }
 
-  void AppendGroupValues(const std::vector<Value>& values) {
-    for (size_t k = 0; k < values.size(); ++k) {
-      // Types match the key columns by construction.
-      (void)key_store_.columns[k].AppendValue(values[k]);
+  /// Append the key columns of an encoded key row (bounds already checked
+  /// by FindOrInsertRecordKey).
+  void AppendKeyRow(const char* p) {
+    for (auto& col : key_store_.columns) {
+      DataType type = col.type();
+      size_t width = static_cast<size_t>(TypeWidthBytes(type));
+      bool valid = *p++ != 0;
+      if (!valid) {
+        col.AppendNull();
+        if (keys_fixed_) p += width;
+        continue;
+      }
+      switch (type) {
+        case DataType::kBool:
+          col.AppendBool(*p != 0);
+          break;
+        case DataType::kBigInt: {
+          int64_t v;
+          std::memcpy(&v, p, sizeof(v));
+          col.AppendBigInt(v);
+          break;
+        }
+        case DataType::kHugeInt: {
+          int128_t v;
+          std::memcpy(&v, p, sizeof(v));
+          col.AppendHugeInt(v);
+          break;
+        }
+        case DataType::kDouble: {
+          double v;
+          std::memcpy(&v, p, sizeof(v));
+          col.AppendDouble(v);
+          break;
+        }
+        case DataType::kVarchar: {
+          uint32_t len;
+          std::memcpy(&len, p, sizeof(len));
+          col.AppendVarchar(std::string(p + sizeof(len), len));
+          width = sizeof(len) + len;
+          break;
+        }
+      }
+      p += width;
     }
-    for (auto& a : accums_) a.emplace_back();
   }
 
   const PlanNode& plan_;
   bool fast_ = false;
   bool keys_fixed_ = true;
+  size_t key_stride_ = 0;  ///< encoded key row width when keys_fixed_
   bool scalar_group_init_ = false;
   FlatKeyIndex index_;
   // Caller-side key stores backing the index's equality checks.
@@ -709,10 +861,11 @@ class HashAggNode : public ExecNode {
     std::string buf;
     for (auto& part : partials) {
       QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      uint32_t total = static_cast<uint32_t>(part->table.NumGroups());
+      const GroupTable& from = part->table;
+      uint32_t total = static_cast<uint32_t>(from.NumGroups());
       for (uint32_t g = 0; g < total; ++g) {
         buf.clear();
-        part->table.SerializeGroup(g, &buf);
+        from.SerializeGroup(g, from.GroupHash(g), &buf);
         QY_RETURN_IF_ERROR(table_.MergeRecord(buf));
       }
       part->table.Clear();
@@ -800,21 +953,26 @@ class HashAggNode : public ExecNode {
     return static_cast<int>((hash >> shift) & (kNumPartitions - 1));
   }
 
+  /// Serialize every group of `table` into `parts` at `depth`, straight
+  /// into the partition writers' page buffers.
+  Status WriteGroups(const GroupTable& table, int depth,
+                     std::vector<Partition>* parts) {
+    uint32_t total = static_cast<uint32_t>(table.NumGroups());
+    for (uint32_t g = 0; g < total; ++g) {
+      uint64_t hash = table.GroupHash(g);
+      Partition& part = (*parts)[PartitionOf(hash, depth)];
+      table.SerializeGroup(g, hash, part.writer->BeginRecord());
+      QY_RETURN_IF_ERROR(part.writer->EndRecord());
+      ++part.records;
+      ++ctx_->rows_spilled;
+    }
+    return Status::OK();
+  }
+
   /// Serialize every group of `table` into the current partition set.
   Status FlushTable(const GroupTable& table, int depth) {
     QY_RETURN_IF_ERROR(EnsurePartitions(depth));
-    uint32_t total = static_cast<uint32_t>(table.NumGroups());
-    std::string buf;
-    for (uint32_t g = 0; g < total; ++g) {
-      buf.clear();
-      table.SerializeGroup(g, &buf);
-      int p = PartitionOf(table.GroupHash(g), depth);
-      QY_RETURN_IF_ERROR(partitions_[p].writer->Write(buf));
-      ++partitions_[p].records;
-      ++ctx_->rows_spilled;
-    }
-    // On the first finalization flush, move the partitions to pending.
-    return Status::OK();
+    return WriteGroups(table, depth, &partitions_);
   }
 
   /// Load one partition into the (empty) in-memory table, repartitioning if
@@ -824,7 +982,7 @@ class HashAggNode : public ExecNode {
     RecordReader reader(part.file.get());
     std::vector<Partition> sub;  // lazily created on overflow
     bool overflow = false;
-    std::string record;
+    std::string_view record;
     uint64_t merged = 0;
     while (true) {
       if ((merged++ & 255) == 0) {
@@ -857,15 +1015,7 @@ class HashAggNode : public ExecNode {
               sub[p].writer = std::make_unique<RecordWriter>(sub[p].file.get());
               ++ctx_->spill_partitions;
             }
-            uint32_t total = static_cast<uint32_t>(table_.NumGroups());
-            std::string buf;
-            for (uint32_t g = 0; g < total; ++g) {
-              buf.clear();
-              table_.SerializeGroup(g, &buf);
-              int p = PartitionOf(table_.GroupHash(g), part.depth + 1);
-              QY_RETURN_IF_ERROR(sub[p].writer->Write(buf));
-              ++ctx_->rows_spilled;
-            }
+            QY_RETURN_IF_ERROR(WriteGroups(table_, part.depth + 1, &sub));
             table_.Clear();
             reservation_.ReleaseAll();
           }
@@ -888,29 +1038,14 @@ class HashAggNode : public ExecNode {
     return Status::OK();
   }
 
-  /// Compute the key hash of a serialized record and route it onward.
-  Status RouteRecord(const std::string& record, int depth,
+  /// Route a record to the sub-partition its stored hash selects.
+  Status RouteRecord(std::string_view record, int depth,
                      std::vector<Partition>* sub) {
-    ByteReader reader(record.data(), record.size());
-    std::vector<Value> key_values(plan_.group_keys.size());
-    for (size_t k = 0; k < plan_.group_keys.size(); ++k) {
-      QY_RETURN_IF_ERROR(
-          reader.ReadValue(plan_.group_keys[k]->type, &key_values[k]));
-    }
-    uint64_t hash;
-    if (plan_.group_keys.size() == 1 && IsInteger(plan_.group_keys[0]->type) &&
-        !key_values[0].is_null()) {
-      hash = HashUInt128(static_cast<uint128_t>(key_values[0].AsHugeInt()));
-    } else if (plan_.group_keys.empty()) {
-      hash = 0;
-    } else {
-      std::string key;
-      for (const auto& v : key_values) SerializeRawValue(v, &key);
-      hash = HashBytes(key);
-    }
-    int p = PartitionOf(hash, depth);
-    QY_RETURN_IF_ERROR((*sub)[p].writer->Write(record));
-    ++(*sub)[p].records;
+    uint64_t hash = 0;
+    QY_RETURN_IF_ERROR(table_.RouteHash(record, &hash));
+    Partition& part = (*sub)[PartitionOf(hash, depth)];
+    QY_RETURN_IF_ERROR(part.writer->Write(record));
+    ++part.records;
     ++ctx_->rows_spilled;
     return Status::OK();
   }

@@ -133,45 +133,6 @@ void EncodeKeyRows(const std::vector<ColumnVector>& keys, size_t n,
   out->offsets.push_back(static_cast<uint32_t>(out->bytes.size()));
 }
 
-void EncodeKeyValues(const std::vector<Value>& values, bool fixed_width,
-                     std::string* out) {
-  out->clear();
-  if (!fixed_width) {
-    for (const Value& v : values) SerializeRawValue(v, out);
-    return;
-  }
-  for (const Value& v : values) {
-    size_t width = static_cast<size_t>(TypeWidthBytes(v.type()));
-    size_t at = out->size();
-    out->append(1 + width, '\0');
-    if (v.is_null()) continue;
-    char* p = out->data() + at;
-    p[0] = 1;
-    switch (v.type()) {
-      case DataType::kBool:
-        p[1] = v.bool_value() ? 1 : 0;
-        break;
-      case DataType::kBigInt: {
-        int64_t x = v.bigint_value();
-        std::memcpy(p + 1, &x, sizeof(x));
-        break;
-      }
-      case DataType::kHugeInt: {
-        int128_t x = v.hugeint_value();
-        std::memcpy(p + 1, &x, sizeof(x));
-        break;
-      }
-      case DataType::kDouble: {
-        double x = v.double_value();
-        std::memcpy(p + 1, &x, sizeof(x));
-        break;
-      }
-      case DataType::kVarchar:
-        break;  // unreachable: fixed-width layout excludes VARCHAR
-    }
-  }
-}
-
 void HashEncodedRows(const EncodedKeyRows& rows,
                      std::vector<uint64_t>* hashes) {
   hashes->resize(rows.num_rows);

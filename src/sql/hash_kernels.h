@@ -13,10 +13,9 @@
 ///   variable-width (any VARCHAR key column):
 ///     row := SerializeValue() concatenation, indexed through offsets[].
 ///
-/// The encoding is internal to the in-memory tables (spill records keep the
-/// SerializeValue format); the only requirements are that equal keys encode
-/// to equal bytes and that the chunk-batch and Value-based paths (partition
-/// merge) produce identical bytes — both encoders here guarantee that.
+/// Equal keys encode to equal bytes. Aggregate spill records carry a group's
+/// key in this encoding, so the partition merge looks it up in the in-memory
+/// table without decoding it.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,12 @@ inline uint64_t HashIntKey(int128_t v) {
   return HashUInt128(static_cast<uint128_t>(v));
 }
 
-/// 64-bit FNV-1a (same function exec_agg has always used for spill-partition
-/// routing of serialized keys).
-inline uint64_t HashBytes64(const char* data, size_t len) {
-  uint64_t h = 1469598103934665603ULL;
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
+/// 64-bit FNV-1a of `data[0..len)`, continued from `h` (same function
+/// exec_agg has always used for spill-partition routing of serialized keys).
+inline uint64_t HashBytes64(const char* data, size_t len,
+                            uint64_t h = kFnvOffsetBasis) {
   for (size_t i = 0; i < len; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ULL;
@@ -90,12 +91,6 @@ size_t FixedKeyStride(const std::vector<ColumnVector>& keys);
 /// fixed-width layout: one type switch per column per chunk).
 void EncodeKeyRows(const std::vector<ColumnVector>& keys, size_t n,
                    EncodedKeyRows* out);
-
-/// Encode one key row given as Values (partition-merge path). Produces the
-/// same bytes EncodeKeyRows produces for an equal row; `fixed_width` must
-/// match the table's layout decision.
-void EncodeKeyValues(const std::vector<Value>& values, bool fixed_width,
-                     std::string* out);
 
 /// hashes[i] = HashBytes64 of encoded row i.
 void HashEncodedRows(const EncodedKeyRows& rows, std::vector<uint64_t>* hashes);

@@ -75,11 +75,8 @@ void SerializeRawValue(const Value& v, std::string* buf) {
   }
 }
 
-Status ByteReader::ReadBytes(void* dst, size_t n) {
-  if (pos_ + n > size_) {
-    return Status::DataLoss("spill record truncated");
-  }
-  std::memcpy(dst, data_ + pos_, n);
+Status ByteReader::Skip(size_t n) {
+  if (size_ - pos_ < n) return Status::DataLoss("spill record truncated");
   pos_ += n;
   return Status::OK();
 }
@@ -128,13 +125,24 @@ Status ByteReader::ReadValue(DataType type, Value* out) {
   return Status::Internal("unhandled type in spill read");
 }
 
-Status RecordWriter::Write(const std::string& record) {
-  uint32_t len = static_cast<uint32_t>(record.size());
-  buffer_.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buffer_.append(record);
+std::string* RecordWriter::BeginRecord() {
+  record_start_ = buffer_.size();
+  buffer_.append(sizeof(uint32_t), '\0');
+  return &buffer_;
+}
+
+Status RecordWriter::EndRecord() {
+  auto len =
+      static_cast<uint32_t>(buffer_.size() - record_start_ - sizeof(uint32_t));
+  std::memcpy(buffer_.data() + record_start_, &len, sizeof(len));
   ++records_;
   if (buffer_.size() >= (1u << 20)) return Flush();
   return Status::OK();
+}
+
+Status RecordWriter::Write(std::string_view record) {
+  BeginRecord()->append(record);
+  return EndRecord();
 }
 
 Status RecordWriter::Flush() {
@@ -158,6 +166,17 @@ Status RecordReader::LoadPage(bool* eof) {
     return Status::DataLoss("corrupted spill page header in " +
                             file_->path());
   }
+  file_pos_ += sizeof(header);
+  // The length is not covered by the CRC: bound it by the file before
+  // allocating, so a flipped high bit cannot zero-fill gigabytes.
+  uint64_t left = file_->bytes_written() > file_pos_
+                      ? file_->bytes_written() - file_pos_
+                      : 0;
+  if (header[1] > left) {
+    return Status::DataLoss("spill page length " + std::to_string(header[1]) +
+                            " exceeds the " + std::to_string(left) +
+                            " bytes left in " + file_->path());
+  }
   page_.resize(header[1]);
   pos_ = 0;
   bool mid_eof = false;
@@ -165,6 +184,7 @@ Status RecordReader::LoadPage(bool* eof) {
   if (mid_eof && !page_.empty()) {
     return Status::DataLoss("torn spill page in " + file_->path());
   }
+  file_pos_ += page_.size();
   if (Crc32c(page_) != header[2]) {
     return Status::DataLoss("spill page checksum mismatch in " +
                             file_->path());
@@ -172,7 +192,7 @@ Status RecordReader::LoadPage(bool* eof) {
   return Status::OK();
 }
 
-Status RecordReader::Read(std::string* record, bool* eof) {
+Status RecordReader::Read(std::string_view* record, bool* eof) {
   *eof = false;
   if (pos_ >= page_.size()) {
     QY_RETURN_IF_ERROR(LoadPage(eof));
@@ -191,7 +211,7 @@ Status RecordReader::Read(std::string* record, bool* eof) {
   if (page_.size() - pos_ < len) {
     return Status::DataLoss("truncated spill record in " + file_->path());
   }
-  record->assign(page_.data() + pos_, len);
+  *record = std::string_view(page_.data() + pos_, len);
   pos_ += len;
   return Status::OK();
 }

@@ -1,21 +1,26 @@
 /// \file spill.h
-/// Binary row (de)serialization for out-of-core spill partitions.
+/// Value serialization and the checksummed page file of out-of-core spill
+/// partitions.
 ///
 /// Format per value: [valid:u8][payload], payload fixed-width for numeric
-/// types, length-prefixed (u32) for VARCHAR. Rows are concatenated into
-/// length-framed records, and records are batched into checksummed pages:
+/// types, length-prefixed (u32) for VARCHAR. The hash aggregate lays out its
+/// own records (exec_agg.cc); this file frames them. Records are
+/// length-framed and batched into checksummed pages:
 ///
 ///   page   := [magic:u32][payload_len:u32][crc32c:u32] payload
 ///   payload:= ([record_len:u32] record)*
 ///
 /// The writer flushes a page at record boundaries (every ~1 MiB), so a
-/// record never straddles pages. The reader verifies the magic and CRC32C of
-/// every page before parsing records; torn writes, truncation and bit flips
+/// record never straddles pages. The reader checks the page length against
+/// the bytes left in the file and verifies the magic and CRC32C of every
+/// page before handing out records; torn writes, truncation and bit flips
 /// surface as a clean kDataLoss Status instead of garbage rows or UB.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/temp_file.h"
@@ -36,7 +41,17 @@ class ByteReader {
   ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
 
   Status ReadValue(DataType type, Value* out);
-  Status ReadBytes(void* dst, size_t n);
+  Status ReadBytes(void* dst, size_t n) {
+    if (size_ - pos_ < n) return Status::DataLoss("spill record truncated");
+    std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+  template <typename T>
+  Status Read(T* out) {
+    return ReadBytes(out, sizeof(T));
+  }
+  Status Skip(size_t n);
   bool AtEnd() const { return pos_ >= size_; }
   size_t position() const { return pos_; }
 
@@ -55,14 +70,20 @@ class RecordWriter {
  public:
   explicit RecordWriter(TempFile* file) : file_(file) {}
 
-  /// Append one record (arbitrary bytes). Flushes every ~1 MiB.
-  Status Write(const std::string& record);
+  /// Open a record: the caller appends its bytes to the returned page
+  /// buffer, then calls EndRecord() before any other call on this writer.
+  std::string* BeginRecord();
+  /// Close the record opened by BeginRecord(). Flushes every ~1 MiB.
+  Status EndRecord();
+  /// Append one whole record (arbitrary bytes).
+  Status Write(std::string_view record);
   Status Flush();
   uint64_t records_written() const { return records_; }
 
  private:
   TempFile* file_;
   std::string buffer_;
+  size_t record_start_ = 0;  ///< offset of the open record's length field
   uint64_t records_ = 0;
 };
 
@@ -72,8 +93,9 @@ class RecordReader {
  public:
   explicit RecordReader(TempFile* file) : file_(file) {}
 
-  /// Read the next record; *eof=true at end.
-  Status Read(std::string* record, bool* eof);
+  /// Read the next record; *eof=true at end. `*record` views the current
+  /// page and stays valid until the next Read.
+  Status Read(std::string_view* record, bool* eof);
 
  private:
   /// Load and verify the next page into page_; *eof at clean end-of-file.
@@ -82,6 +104,7 @@ class RecordReader {
   TempFile* file_;
   std::string page_;
   size_t pos_ = 0;
+  uint64_t file_pos_ = 0;  ///< bytes of the file consumed so far
 };
 
 }  // namespace qy::sql

@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "bench/runner.h"
 #include "circuit/families.h"
@@ -79,6 +81,38 @@ TEST(ChecksumTest, Crc32cDetectsSingleBitFlips) {
           << "bit " << bit << " of byte " << byte << " undetected";
     }
   }
+}
+
+TEST(ChecksumTest, Crc32cEqualsPortableAtEveryLengthAndAlignment) {
+  // Crc32c takes the SSE4.2 path where the CPU has it; the portable table
+  // loop is the reference. Covers every tail length of the 8-byte loop and
+  // every start alignment, one-shot and accumulated across a split, with
+  // the two implementations handing the running value to each other.
+  std::vector<unsigned char> buf(4096 + 8);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const unsigned char* p = buf.data() + off;
+      uint32_t want = internal::Crc32cPortable(p, len);
+      ASSERT_EQ(Crc32c(p, len), want) << "len " << len << " offset " << off;
+      size_t cut = len / 3;
+      ASSERT_EQ(Crc32c(p + cut, len - cut, Crc32c(p, cut)), want)
+          << "chunked, len " << len << " offset " << off;
+      ASSERT_EQ(Crc32c(p + cut, len - cut, internal::Crc32cPortable(p, cut)),
+                want)
+          << "portable then Crc32c, len " << len << " offset " << off;
+      ASSERT_EQ(internal::Crc32cPortable(p + cut, len - cut, Crc32c(p, cut)),
+                want)
+          << "Crc32c then portable, len " << len << " offset " << off;
+    }
+  }
+  EXPECT_EQ(internal::Crc32cPortable("123456789", 9), 0xE3069283u);
 }
 
 TEST(ChecksumTest, FingerprintFieldBoundariesMatter) {
@@ -396,6 +430,40 @@ TEST(CheckpointSessionTest, AfterGateHonoursInterval) {
 }
 
 // ---- resume == uninterrupted, across all backends ----
+
+TEST(CheckpointResumeTest, HugeAmplitudeCountIsDataLossOnEveryBackend) {
+  // A well-formed, CRC-valid checkpoint whose amplitude count claims 2^40
+  // entries (32 TiB): every backend that stores the amplitude list must
+  // reject it before reserving anything.
+  qc::QuantumCircuit circuit = qc::Ghz(4);
+  for (bench::Backend backend :
+       {bench::Backend::kStatevector, bench::Backend::kSparse,
+        bench::Backend::kDd, bench::Backend::kQymeraSql}) {
+    SCOPED_TRACE(bench::BackendName(backend));
+    ScopedDir dir;
+    core::QymeraOptions qopts;
+    {
+      SimOptions options = CheckpointOptions(dir.path, 1, false);
+      auto sim = bench::MakeSimulator(backend, options, &qopts);
+      ASSERT_TRUE(sim->Run(circuit).ok());
+    }
+    CheckpointStore store(dir.path);
+    auto loaded = store.Load();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::string payload = loaded->payload;
+    ASSERT_GE(payload.size(), sizeof(uint64_t));
+    uint64_t nnz = uint64_t{1} << 40;
+    std::memcpy(payload.data(), &nnz, sizeof(nnz));
+    ASSERT_TRUE(store.Write(loaded->manifest, payload).ok());
+
+    SimOptions options = CheckpointOptions(dir.path, 1, /*resume=*/true);
+    auto sim = bench::MakeSimulator(backend, options, &qopts);
+    auto got = sim->Run(circuit);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
+        << got.status().ToString();
+  }
+}
 
 #ifdef QY_FAILPOINTS_ENABLED
 

@@ -4,10 +4,12 @@
 /// back, tracked memory returns to its pre-query level, no spill temp files
 /// survive, the worker pool drains, and the database keeps answering.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/temp_file.h"
@@ -343,21 +345,21 @@ class SpillCorruptionTest : public ::testing::Test {
   }
 
   /// XOR one byte of the file at `offset` (stdio-independent, via fopen).
-  void CorruptByte(const std::string& path, long offset) {
+  void CorruptByte(const std::string& path, long offset, int mask = 0x20) {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fseek(f, offset, offset >= 0 ? SEEK_SET : SEEK_END), 0);
     int c = std::fgetc(f);
     ASSERT_NE(c, EOF);
     ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-    std::fputc(c ^ 0x20, f);
+    std::fputc(c ^ mask, f);
     std::fclose(f);
   }
 
   Status DrainReader(TempFile* file, int* records_read) {
     sql::RecordReader reader(file);
     *records_read = 0;
-    std::string record;
+    std::string_view record;
     bool eof = false;
     while (true) {
       Status s = reader.Read(&record, &eof);
@@ -414,6 +416,35 @@ TEST_F(SpillCorruptionTest, TruncatedPageIsDataLoss) {
   Status s = DrainReader(file->get(), &records);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   EXPECT_EQ(records, 0);
+}
+
+TEST_F(SpillCorruptionTest, HugePageLengthIsDataLossWithoutAllocating) {
+  // The page length is not covered by the CRC. With bit 31 set it claims a
+  // 2 GiB page in a file of a few hundred bytes; the reader must reject it
+  // against the bytes left in the file instead of zero-filling 2 GiB first.
+  auto peak_rss_kib = [] {
+    struct rusage usage {};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<long>(usage.ru_maxrss);
+  };
+  TempFileManager manager;
+  {
+    auto file = manager.Create("huge_length");
+    ASSERT_TRUE(file.ok());
+    WriteRecords(file->get());
+    // Header: [magic:u32][payload_len:u32][crc32c:u32]; byte 7 holds bits
+    // 24..31 of the little-endian length.
+    CorruptByte((*file)->path(), 7, 0x80);
+    ASSERT_TRUE((*file)->Rewind().ok());
+    long rss_before = peak_rss_kib();
+    int records = 0;
+    Status s = DrainReader(file->get(), &records);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_EQ(records, 0);
+    EXPECT_LT(peak_rss_kib() - rss_before, 512L << 10)
+        << "the reader allocated the claimed page";
+  }
+  EXPECT_EQ(manager.LiveFileCount(), 0u);
 }
 
 TEST_F(SpillCorruptionTest, CorruptSpillPageFailsQueryCleanly) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -216,10 +217,10 @@ TEST(JoinRowTableTest, EmptyBuildNeverMatches) {
 // Key encoding kernels
 // ---------------------------------------------------------------------------
 
-TEST(HashKernelsTest, ChunkAndValueEncodersProduceIdenticalBytes) {
-  // Fixed-width layout (BIGINT + DOUBLE with NULLs): the chunk-batch encoder
-  // and the Value-based encoder (partition-merge path) must agree byte for
-  // byte, otherwise spilled groups would not find their in-memory twins.
+TEST(HashKernelsTest, FixedWidthKeyRowsFollowTheDocumentedLayout) {
+  // Fixed-width layout (BIGINT + DOUBLE with NULLs): per column
+  // [valid:u8][payload, zero for NULL]. Spill records carry these bytes and
+  // the partition merge compares them against the in-memory table's keys.
   ColumnVector a(DataType::kBigInt);
   ColumnVector b(DataType::kDouble);
   a.AppendBigInt(7);      b.AppendDouble(1.5);
@@ -235,11 +236,22 @@ TEST(HashKernelsTest, ChunkAndValueEncodersProduceIdenticalBytes) {
   EncodeKeyRows(keys, 4, &rows);
   ASSERT_TRUE(rows.fixed_width);
   ASSERT_EQ(rows.num_rows, 4u);
+  ASSERT_EQ(rows.stride, 2u * (1 + 8));
   for (size_t r = 0; r < 4; ++r) {
-    std::vector<Value> row_values = {keys[0].GetValue(r), keys[1].GetValue(r)};
-    std::string encoded;
-    EncodeKeyValues(row_values, /*fixed_width=*/true, &encoded);
-    ASSERT_TRUE(rows.RowEquals(r, encoded.data(), encoded.size()))
+    std::string expected;
+    for (const ColumnVector& col : keys) {
+      char payload[8] = {};
+      if (!col.IsNull(r)) {
+        if (col.type() == DataType::kBigInt) {
+          std::memcpy(payload, &col.i64_data()[r], 8);
+        } else {
+          std::memcpy(payload, &col.f64_data()[r], 8);
+        }
+      }
+      expected.push_back(col.IsNull(r) ? 0 : 1);
+      expected.append(payload, 8);
+    }
+    ASSERT_TRUE(rows.RowEquals(r, expected.data(), expected.size()))
         << "row " << r;
   }
   // Distinct rows must encode to distinct bytes.
@@ -261,11 +273,11 @@ TEST(HashKernelsTest, VarcharKeysUseVariableEncodingAndStillAgree) {
   EncodedKeyRows rows;
   EncodeKeyRows(keys, 3, &rows);
   ASSERT_FALSE(rows.fixed_width);
+  // Variable-width rows are the spill value codec's bytes, column by column.
   for (size_t r = 0; r < 3; ++r) {
-    std::vector<Value> row_values = {keys[0].GetValue(r), keys[1].GetValue(r)};
-    std::string encoded;
-    EncodeKeyValues(row_values, /*fixed_width=*/false, &encoded);
-    ASSERT_TRUE(rows.RowEquals(r, encoded.data(), encoded.size()))
+    std::string expected;
+    for (const ColumnVector& col : keys) SerializeValue(col, r, &expected);
+    ASSERT_TRUE(rows.RowEquals(r, expected.data(), expected.size()))
         << "row " << r;
   }
 }
