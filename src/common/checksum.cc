@@ -59,9 +59,10 @@ uint32_t Crc32cPortable(const void* data, size_t n, uint32_t acc) {
 
 }  // namespace internal
 
-/// On a 4-vCPU Xeon KVM guest (GCC 12, RelWithDebInfo) the table loop runs
-/// at 0.35 GB/s and the SSE4.2 path at 7.65 GB/s; with the table loop, CRC
-/// took 58% of a budgeted (spilling) EqualSuperposition(15) run.
+/// Over a 1 MiB spill page on a 4-vCPU Xeon KVM guest (GCC 12, Release) the
+/// table loop runs at 0.35 GB/s and the SSE4.2 path at 7.2 GB/s
+/// (BENCH_spill.json). At table speed, checksumming spill pages dominated
+/// budgeted out-of-core runs.
 uint32_t Crc32c(const void* data, size_t n, uint32_t acc) {
 #if defined(__x86_64__)
   static const bool hardware = __builtin_cpu_supports("sse4.2");
