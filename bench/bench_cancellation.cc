@@ -25,7 +25,6 @@ using namespace qy;
 void BM_Qft12NoQueryContext(benchmark::State& state) {
   const qc::QuantumCircuit circuit = qc::Qft(12);
   core::QymeraOptions qopts;
-  qopts.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     core::QymeraSimulator simulator(qopts);
     auto summary = simulator.Execute(circuit);
@@ -36,8 +35,7 @@ void BM_Qft12NoQueryContext(benchmark::State& state) {
     benchmark::DoNotOptimize(summary->final_rows);
   }
 }
-BENCHMARK(BM_Qft12NoQueryContext)->Arg(1)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_Qft12NoQueryContext)->Unit(benchmark::kMillisecond);
 
 /// Same pipeline with an armed (never fired) QueryContext and a deadline:
 /// every poll takes the full path — cancel-flag load, deadline load, clock
@@ -48,7 +46,6 @@ void BM_Qft12WithQueryContext(benchmark::State& state) {
   query.SetTimeout(std::chrono::hours(24));
   core::QymeraOptions qopts;
   qopts.base.query = &query;
-  qopts.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     core::QymeraSimulator simulator(qopts);
     auto summary = simulator.Execute(circuit);
@@ -59,8 +56,7 @@ void BM_Qft12WithQueryContext(benchmark::State& state) {
     benchmark::DoNotOptimize(summary->final_rows);
   }
 }
-BENCHMARK(BM_Qft12WithQueryContext)->Arg(1)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_Qft12WithQueryContext)->Unit(benchmark::kMillisecond);
 
 /// Cancellation latency: fire Cancel() from another thread 5 ms into a
 /// QFT-16 run (several seconds uncancelled) and measure cancel -> return.
@@ -69,7 +65,6 @@ BENCHMARK(BM_Qft12WithQueryContext)->Arg(1)->Arg(4)->Unit(
 void BM_Qft16CancelLatency(benchmark::State& state) {
   const qc::QuantumCircuit circuit = qc::Qft(16);
   core::QymeraOptions qopts;
-  qopts.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     QueryContext query;
     qopts.base.query = &query;
@@ -86,8 +81,7 @@ void BM_Qft16CancelLatency(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_Qft16CancelLatency)->Arg(1)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_Qft16CancelLatency)->Unit(benchmark::kMillisecond);
 
 /// Raw poll cost: QueryContext::Check() in a tight loop, with and without a
 /// deadline armed (the deadline adds a steady_clock read per poll).

@@ -114,14 +114,13 @@ void BM_Crc32c(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_Crc32c, Crc32c)->Arg(1 << 20);
 BENCHMARK_TEMPLATE(BM_Crc32c, internal::Crc32cPortable)->Arg(1 << 20);
 
-/// EqualSuperposition(15) on one engine thread; range(0) = budget bytes per
+/// EqualSuperposition(15); range(0) = budget bytes per
 /// 2^n rows (0 = unlimited). 70 B/row is the perfbench out_of_core budget,
 /// under which the late gates' aggregations spill.
 void BM_Superposition15(benchmark::State& state) {
   constexpr int kN = 15;
   qc::QuantumCircuit circuit = qc::EqualSuperposition(kN);
   core::QymeraOptions qopts;
-  qopts.num_threads = 1;
   if (state.range(0) > 0) {
     qopts.base.memory_budget_bytes =
         (uint64_t{1} << kN) * static_cast<uint64_t>(state.range(0));

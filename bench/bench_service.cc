@@ -1,11 +1,10 @@
 /// \file bench_service.cc
-/// Throughput of the concurrent query service across a sessions x pool-width
-/// grid: N sessions each submitting a fixed mixed workload (gate-style join
-/// + aggregation queries and a QFT simulation) through Service::Submit,
-/// sharing one worker pool and the global admission budget. Counters
-/// reported per iteration: queries completed, admission waits, global
-/// memory high-water. The (sessions=1, threads=1) cell is the serial
-/// baseline for scaling ratios.
+/// Throughput of the concurrent query service across session counts: N
+/// sessions, each on its own client thread, submit a fixed mixed workload
+/// (gate-style join + aggregation queries and a QFT simulation) through
+/// Service::Submit under one global admission budget. Counters reported per
+/// iteration: queries completed, admission waits, global memory high-water.
+/// The sessions=1 cell is the baseline for scaling ratios.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -70,13 +69,11 @@ bool RunSessionWorkload(Service* svc, const std::string& session,
   return svc->Submit(close).ok();
 }
 
-void BM_ServiceSessionsThreads(benchmark::State& state) {
+void BM_ServiceSessions(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
-  const size_t threads = static_cast<size_t>(state.range(1));
   const std::string qft_json = qc::CircuitToJson(qc::Qft(6), -1);
 
   ServiceOptions options;
-  options.num_threads = threads;
   options.memory_budget_bytes = 512ull << 20;
   options.max_concurrent_queries = static_cast<size_t>(sessions);
   options.session_defaults.memory_budget_bytes = 64ull << 20;
@@ -112,14 +109,12 @@ void BM_ServiceSessionsThreads(benchmark::State& state) {
       static_cast<double>(svc.tracker().peak()) / (1 << 20);
   svc.Shutdown(std::chrono::milliseconds(0));
 }
-BENCHMARK(BM_ServiceSessionsThreads)
-    ->ArgNames({"sessions", "threads"})
-    ->Args({1, 1})
-    ->Args({2, 2})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({8, 4})
-    ->Args({8, 8})
+BENCHMARK(BM_ServiceSessions)
+    ->ArgName("sessions")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -127,7 +122,7 @@ BENCHMARK(BM_ServiceSessionsThreads)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("==== service throughput: sessions x shared-pool width ====\n");
+  std::printf("==== service throughput by session count ====\n");
   std::printf("hardware threads available: %u\n\n",
               std::thread::hardware_concurrency());
   benchmark::Initialize(&argc, argv);

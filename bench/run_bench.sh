@@ -9,7 +9,7 @@
 #                cmake --build build-release -j
 #   out-json   Output path for the join/agg results
 #              (default: BENCH_join_agg.json in the repo root).
-#   service-out-json  Output path for the sessions x threads service grid
+#   service-out-json  Output path for the service sessions sweep
 #              (default: BENCH_service.json in the repo root).
 set -eu
 
@@ -35,7 +35,7 @@ echo "== bench_join_micro -> $out_json =="
   --benchmark_out="$out_json" --benchmark_out_format=json
 
 echo
-echo "== bench_service (sessions x threads grid) -> $service_json =="
+echo "== bench_service (sessions sweep) -> $service_json =="
 "$build_dir/bench/bench_service" \
   --benchmark_out="$service_json" --benchmark_out_format=json
 

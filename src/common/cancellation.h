@@ -4,7 +4,7 @@
 /// A CancellationToken is a thread-safe (and async-signal-safe) cancel flag;
 /// a QueryContext bundles a token — owned, or external so a SIGINT handler
 /// can share one flag across queries — with an optional absolute deadline.
-/// The execution engine polls QueryContext::Check() once per morsel/chunk
+/// The execution engine polls QueryContext::Check() once per chunk
 /// (and the simulators once per gate), so a runaway query returns
 /// StatusCode::kCancelled / kDeadlineExceeded within one unit of work
 /// instead of running to completion.

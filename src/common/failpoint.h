@@ -18,7 +18,6 @@
 ///                    create is retried with backoff, see temp_file.h)
 ///   tempfile/write   TempFile::WriteBytes (one traversal per attempt)
 ///   mem/reserve      MemoryTracker::Reserve (injects allocation failure)
-///   pool/task        ThreadPool task bodies spawned via TaskGroup
 ///   sim/gate         once per gate in every simulation backend's main loop
 ///   ckpt/write       AtomicWriteFile, per chunk and once before the rename
 ///                    (a `crash` here models a torn checkpoint write)

@@ -17,7 +17,6 @@ sql::DatabaseOptions DbOptionsFor(const QymeraOptions& qopts,
   dopts.memory_budget_bytes = base.memory_budget_bytes;
   dopts.enable_spill = qopts.enable_spill;
   dopts.chunk_size = qopts.chunk_size;
-  dopts.num_threads = qopts.num_threads;
   return dopts;
 }
 

@@ -176,9 +176,7 @@ sql::DatabaseOptions QymeraSimulator::MakeDbOptions() const {
   dopts.memory_budget_bytes = options_.memory_budget_bytes;
   dopts.enable_spill = qopts_.enable_spill;
   dopts.chunk_size = qopts_.chunk_size;
-  dopts.num_threads = qopts_.num_threads;
   dopts.query = options_.query;
-  dopts.external_pool = qopts_.external_pool;
   dopts.parent_tracker = qopts_.parent_tracker;
   return dopts;
 }

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "common/json.h"
-#include "common/thread_pool.h"
+#include "common/memory_tracker.h"
 #include "core/fusion.h"
 #include "core/translator.h"
 #include "sim/simulator.h"
@@ -45,16 +45,9 @@ struct QymeraOptions {
   /// Engine vector size.
   size_t chunk_size = 2048;
 
-  /// Worker threads for the relational engine's morsel-driven parallelism.
-  /// 0 = hardware concurrency (the default), 1 = fully serial execution
-  /// (byte-identical to the pre-parallel engine).
+  /// Ignored; execution is serial. Kept only because perfbench/driver sets it.
   size_t num_threads = 0;
 
-  /// Borrow an externally owned worker pool for the internal database
-  /// instead of spawning one per run (the query service shares one pool
-  /// across all sessions). Not owned; must outlive the simulator run.
-  /// With external_pool set, num_threads == 0 follows the pool's width.
-  qy::ThreadPool* external_pool = nullptr;
   /// Nest the run's memory tracker under a process-wide parent budget
   /// (see MemoryTracker). Not owned; must outlive the simulator run.
   qy::MemoryTracker* parent_tracker = nullptr;

@@ -26,10 +26,6 @@ Response ErrorResponse(Status status) {
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)), tracker_(options_.memory_budget_bytes) {
-  size_t width = options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                           : options_.num_threads;
-  if (width > 1) pool_ = std::make_unique<ThreadPool>(width);
-
   AdmissionOptions aopts;
   aopts.max_concurrent_queries = options_.max_concurrent_queries;
   aopts.memory_budget_bytes = options_.memory_budget_bytes;
@@ -37,7 +33,7 @@ Service::Service(ServiceOptions options)
   admission_ = std::make_unique<AdmissionController>(aopts);
 
   sessions_ = std::make_unique<SessionManager>(
-      pool_.get(), &tracker_, options_.session_defaults,
+      &tracker_, options_.session_defaults,
       std::chrono::milliseconds(options_.session_idle_timeout_ms));
 
   if (options_.session_idle_timeout_ms > 0) {

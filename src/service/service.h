@@ -1,16 +1,16 @@
 /// \file service.h
-/// The concurrent simulation service: one object owning the shared worker
-/// pool, the process-wide memory budget, admission control and the session
-/// map, with a single in-process entry point (Submit) that the socket server
-/// and embedders share.
+/// The concurrent simulation service: one object owning the process-wide
+/// memory budget, admission control and the session map, with a single
+/// in-process entry point (Submit) that the socket server and embedders
+/// share.
 ///
 /// Request flow for query/simulate:
 ///   1. resolve the per-request deadline (timeout_ms -> absolute steady time)
 ///   2. find or create the target session
 ///   3. pass admission (slot + declared memory cost; FIFO queue on overload)
-///   4. execute inside the session (serialized per session, parallel across
-///      sessions over the shared pool, every reservation charged to the
-///      session budget AND the global budget)
+///   4. execute inside the session on the caller's thread (serialized per
+///      session, concurrent across sessions, every reservation charged to
+///      the session budget AND the global budget)
 /// Admission declares each query's cost as its session's memory budget, so
 /// the admission memory budget bounds the worst-case global working set; an
 /// unlimited session budget declares zero (slot-only admission).
@@ -18,7 +18,7 @@
 /// Shutdown(grace) is the graceful path: admission closes (queued requests
 /// get kUnavailable), sessions reject new work, in-flight queries get
 /// `grace` to drain and are then cancelled cooperatively. After Shutdown
-/// returns the pool is quiescent and no query is executing.
+/// returns no query is executing.
 #pragma once
 
 #include <atomic>
@@ -33,7 +33,6 @@
 #include "common/json.h"
 #include "common/memory_tracker.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "service/admission.h"
 #include "service/protocol.h"
 #include "service/session.h"
@@ -41,8 +40,7 @@
 namespace qy::service {
 
 struct ServiceOptions {
-  /// Width of the shared worker pool. 0 = hardware concurrency, 1 = no pool
-  /// (every session executes serially).
+  /// Ignored; execution is serial. Kept only because perfbench/driver sets it.
   size_t num_threads = 0;
   /// Process-wide memory budget: the global tracker every session nests
   /// under, and the admission controller's memory dimension.
@@ -100,7 +98,12 @@ class Service {
   SessionManager& sessions() { return *sessions_; }
   AdmissionController& admission() { return *admission_; }
   MemoryTracker& tracker() { return tracker_; }
-  ThreadPool* pool() { return pool_.get(); }
+  /// Always nullptr: there is no worker pool. Kept only because
+  /// perfbench/driver checks `pool()->Quiescent()` after Shutdown.
+  struct NoPool {
+    bool Quiescent() const { return true; }
+  };
+  const NoPool* pool() const { return nullptr; }
   const ServiceOptions& options() const { return options_; }
 
  private:
@@ -118,7 +121,6 @@ class Service {
 
   const ServiceOptions options_;
   MemoryTracker tracker_;               ///< global budget (parent of sessions)
-  std::unique_ptr<ThreadPool> pool_;    ///< shared; null when num_threads==1
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<SessionManager> sessions_;
 

@@ -11,30 +11,24 @@ using Clock = std::chrono::steady_clock;
 int64_t NowNs() { return Clock::now().time_since_epoch().count(); }
 
 sql::DatabaseOptions MakeDbOptions(const SessionOptions& options,
-                                   ThreadPool* pool,
                                    MemoryTracker* global_tracker,
                                    const QueryContext* ctx) {
   sql::DatabaseOptions dopts;
   dopts.memory_budget_bytes = options.memory_budget_bytes;
   dopts.enable_spill = options.enable_spill;
   dopts.plan_cache_capacity = options.plan_cache_capacity;
-  dopts.external_pool = pool;
   dopts.parent_tracker = global_tracker;
   dopts.query = ctx;
-  // Without a shared pool a session is serial; num_threads == 0 must not
-  // make every session spawn its own hardware-width pool.
-  dopts.num_threads =
-      (pool == nullptr && options.num_threads == 0) ? 1 : options.num_threads;
   return dopts;
 }
 
 }  // namespace
 
-Session::Session(std::string name, SessionOptions options, ThreadPool* pool,
+Session::Session(std::string name, SessionOptions options,
                  MemoryTracker* global_tracker)
-    : name_(std::move(name)), options_(std::move(options)), pool_(pool),
+    : name_(std::move(name)), options_(std::move(options)),
       global_tracker_(global_tracker),
-      db_(MakeDbOptions(options_, pool_, global_tracker_, &ctx_)),
+      db_(MakeDbOptions(options_, global_tracker_, &ctx_)),
       last_used_ns_(NowNs()) {}
 
 std::chrono::steady_clock::time_point Session::last_used() const {
@@ -129,10 +123,6 @@ Result<core::RunSummary> Session::Simulate(
     qopts.base.checkpoint_every_n_gates = 1;
   }
   qopts.enable_spill = options_.enable_spill;
-  qopts.num_threads =
-      (pool_ == nullptr && options_.num_threads == 0) ? 1
-                                                      : options_.num_threads;
-  qopts.external_pool = pool_;
   // Nest the run under the session's tracker (and through it the global
   // budget): a simulation and the session's resident tables share one cap.
   qopts.parent_tracker = &db_.tracker();
@@ -156,10 +146,10 @@ bool Session::WaitIdle(std::chrono::steady_clock::time_point deadline) {
   return exec_cv_.wait_until(lock, deadline, [this] { return !busy_; });
 }
 
-SessionManager::SessionManager(ThreadPool* pool, MemoryTracker* global_tracker,
+SessionManager::SessionManager(MemoryTracker* global_tracker,
                                SessionOptions defaults,
                                std::chrono::milliseconds idle_timeout)
-    : pool_(pool), global_tracker_(global_tracker),
+    : global_tracker_(global_tracker),
       defaults_(std::move(defaults)), idle_timeout_(idle_timeout) {}
 
 Result<std::shared_ptr<Session>> SessionManager::GetOrCreate(
@@ -189,7 +179,7 @@ Result<std::shared_ptr<Session>> SessionManager::GetOrCreate(
     return it->second;
   }
   auto session =
-      std::make_shared<Session>(key, options, pool_, global_tracker_);
+      std::make_shared<Session>(key, options, global_tracker_);
   sessions_.emplace(key, session);
   ++stats_.created;
   return session;
@@ -258,7 +248,7 @@ void SessionManager::Shutdown(std::chrono::milliseconds grace) {
   auto deadline = std::chrono::steady_clock::now() + grace;
   for (auto& s : all) {
     if (!s->WaitIdle(deadline)) {
-      // Phase 2: cooperative cancel; the engine polls per chunk/morsel, so
+      // Phase 2: cooperative cancel; the engine polls per chunk, so
       // the drain below completes promptly.
       s->CancelInFlight();
     }

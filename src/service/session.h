@@ -2,12 +2,11 @@
 /// Named sessions for the concurrent query service.
 ///
 /// A Session is the unit of multi-tenancy: it owns a sql::Database whose
-/// memory tracker nests under the service's global budget and whose worker
-/// pool is the shared process-wide pool, plus a reusable QueryContext so
-/// every request gets a deadline and graceful shutdown can cancel in-flight
-/// work. Queries within one session execute serially (a session models one
-/// client connection's state); concurrency comes from running many sessions
-/// over the shared pool.
+/// memory tracker nests under the service's global budget, plus a reusable
+/// QueryContext so every request gets a deadline and graceful shutdown can
+/// cancel in-flight work. Queries within one session execute serially (a
+/// session models one client connection's state); concurrency comes from
+/// running many sessions on the callers' threads.
 ///
 /// The SessionManager maps names to live sessions, garbage-collects sessions
 /// that have been idle past a configurable timeout, and implements graceful
@@ -28,7 +27,6 @@
 #include "common/cancellation.h"
 #include "common/memory_tracker.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/qymera_sim.h"
 #include "sql/database.h"
 
@@ -38,8 +36,6 @@ struct SessionOptions {
   /// Per-session memory budget; reservations also charge the service's
   /// global tracker.
   uint64_t memory_budget_bytes = MemoryTracker::kUnlimited;
-  /// Morsel fan-out inside the shared pool; 0 = the pool's width.
-  size_t num_threads = 0;
   bool enable_spill = true;
   size_t plan_cache_capacity = 64;
   /// Simulation requests checkpoint into this directory when set.
@@ -48,9 +44,9 @@ struct SessionOptions {
 
 class Session {
  public:
-  /// `pool` and `global_tracker` are borrowed from the service and must
-  /// outlive the session; either may be nullptr (serial / unbudgeted).
-  Session(std::string name, SessionOptions options, ThreadPool* pool,
+  /// `global_tracker` is borrowed from the service and must outlive the
+  /// session; it may be nullptr (unbudgeted).
+  Session(std::string name, SessionOptions options,
           MemoryTracker* global_tracker);
 
   Session(const Session&) = delete;
@@ -66,10 +62,9 @@ class Session {
       const std::string& sql,
       std::chrono::steady_clock::time_point deadline = {});
 
-  /// Run a circuit on the qymera-sql backend inside this session's budget
-  /// and shared pool, returning the run counters (the state stays
-  /// relational; protocol clients read amplitudes with follow-up queries if
-  /// they need them).
+  /// Run a circuit on the qymera-sql backend inside this session's budget,
+  /// returning the run counters (the state stays relational; protocol
+  /// clients read amplitudes with follow-up queries if they need them).
   Result<core::RunSummary> Simulate(
       const qc::QuantumCircuit& circuit,
       std::chrono::steady_clock::time_point deadline = {});
@@ -114,7 +109,6 @@ class Session {
 
   const std::string name_;
   const SessionOptions options_;
-  ThreadPool* pool_;              ///< shared, borrowed (may be nullptr)
   MemoryTracker* global_tracker_; ///< borrowed (may be nullptr)
   QueryContext ctx_;              ///< re-armed per request while executing
   sql::Database db_;
@@ -137,8 +131,7 @@ class SessionManager {
  public:
   /// `defaults` seed every session created without explicit options.
   /// idle_timeout <= 0 disables the idle GC.
-  SessionManager(ThreadPool* pool, MemoryTracker* global_tracker,
-                 SessionOptions defaults,
+  SessionManager(MemoryTracker* global_tracker, SessionOptions defaults,
                  std::chrono::milliseconds idle_timeout);
 
   SessionManager(const SessionManager&) = delete;
@@ -174,7 +167,6 @@ class SessionManager {
   SessionManagerStats stats() const;
 
  private:
-  ThreadPool* pool_;
   MemoryTracker* global_tracker_;
   const SessionOptions defaults_;
   const std::chrono::milliseconds idle_timeout_;

@@ -11,24 +11,7 @@ namespace qy::sql {
 Database::Database(DatabaseOptions options)
     : options_(options),
       tracker_(options.memory_budget_bytes, options.parent_tracker),
-      catalog_(&tracker_), plan_cache_(options.plan_cache_capacity) {
-  if (options.external_pool != nullptr) {
-    // Borrowed pool: num_threads == 0 follows the pool's width; an explicit
-    // count just sets the morsel fan-out (tasks queue FIFO on the shared
-    // pool either way).
-    num_threads_ = options.num_threads == 0
-                       ? options.external_pool->num_threads()
-                       : options.num_threads;
-    if (num_threads_ > 1) effective_pool_ = options.external_pool;
-    return;
-  }
-  num_threads_ = options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : options.num_threads;
-  if (num_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-    effective_pool_ = pool_.get();
-  }
-}
+      catalog_(&tracker_), plan_cache_(options.plan_cache_capacity) {}
 
 Database::~Database() = default;
 
@@ -38,8 +21,6 @@ ExecContext Database::MakeContext() {
   ctx.temp_files = &temp_files_;
   ctx.chunk_size = options_.chunk_size;
   ctx.enable_spill = options_.enable_spill;
-  ctx.num_threads = num_threads_;
-  ctx.pool = effective_pool_;
   ctx.profile = &profile_;
   ctx.query = options_.query;
   return ctx;

@@ -16,7 +16,6 @@
 
 #include "common/memory_tracker.h"
 #include "common/temp_file.h"
-#include "common/thread_pool.h"
 #include "sql/binder.h"
 #include "sql/catalog.h"
 #include "sql/executor.h"
@@ -33,11 +32,10 @@ struct DatabaseOptions {
   bool enable_spill = true;
   /// Vector size of the execution engine.
   size_t chunk_size = 2048;
-  /// Worker threads for morsel-driven parallel execution. 1 = serial
-  /// (byte-identical legacy behavior); 0 = hardware concurrency.
+  /// Ignored; execution is serial. Kept only because perfbench/driver sets it.
   size_t num_threads = 1;
   /// Optional cancellation/deadline context. When set, every query executed
-  /// by this Database polls it once per chunk/morsel and stops with
+  /// by this Database polls it once per chunk and stops with
   /// kCancelled / kDeadlineExceeded. Not owned; must outlive the Database.
   const QueryContext* query = nullptr;
   /// Max entries of the prepared-plan cache (SQL text -> bound plan, LRU).
@@ -45,12 +43,6 @@ struct DatabaseOptions {
   /// detected and re-planned when DDL changed a referenced table. 0 disables
   /// caching.
   size_t plan_cache_capacity = 64;
-  /// Borrow an externally owned worker pool instead of spawning one. Lets
-  /// many databases (the query service's sessions) share one process-wide
-  /// pool. Not owned; must outlive the Database. With num_threads == 0 the
-  /// morsel fan-out follows the pool's width. nullptr (the default) keeps
-  /// the owned-pool behavior.
-  ThreadPool* external_pool = nullptr;
   /// Nest this database's tracker under a process-wide parent: every
   /// reservation is charged against both budgets (see MemoryTracker). Not
   /// owned; must outlive the Database.
@@ -77,15 +69,7 @@ class Database {
   Catalog& catalog() { return catalog_; }
   MemoryTracker& tracker() { return tracker_; }
   TempFileManager& temp_files() { return temp_files_; }
-  /// Worker pool (owned or borrowed), or nullptr when running serial.
-  /// Exposed so tests can assert the pool is quiescent after a failed or
-  /// cancelled query.
-  ThreadPool* pool() { return effective_pool_; }
   const DatabaseOptions& options() const { return options_; }
-
-  /// Effective worker-thread count (options().num_threads with 0 resolved
-  /// to hardware concurrency).
-  size_t num_threads() const { return num_threads_; }
 
   /// Per-operator execution statistics, cumulative over this Database.
   const QueryProfile& profile() const { return profile_; }
@@ -120,9 +104,6 @@ class Database {
   MemoryTracker tracker_;
   TempFileManager temp_files_;
   Catalog catalog_;
-  size_t num_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  ///< owned pool (no external, threads > 1)
-  ThreadPool* effective_pool_ = nullptr;  ///< owned or borrowed; null = serial
   QueryProfile profile_;
   uint64_t total_rows_spilled_ = 0;
   PlanCache plan_cache_;

@@ -11,7 +11,6 @@
 /// mechanism behind Qymera's out-of-core simulation (paper Sec. 3.3).
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
 
@@ -608,7 +607,7 @@ class GroupTable {
   std::vector<uint32_t> key_offsets_; ///< size groups + 1
   DataChunk key_store_;
   std::vector<std::vector<Accum>> accums_;  // [agg][group]
-  // Per-chunk scratch (GroupTable is externally synchronized).
+  // Per-chunk scratch.
   std::vector<int128_t> scratch_values_;
   std::vector<uint64_t> scratch_hashes_;
   EncodedKeyRows scratch_enc_;
@@ -650,13 +649,7 @@ class HashAggNode : public ExecNode {
   Status InitInternal() {
     QY_RETURN_IF_ERROR(child_->Init());
     table_.EnsureScalarGroup();
-    bool parallel = ctx_->pool != nullptr && ctx_->num_threads > 1 &&
-                    !plan_.group_keys.empty();
-    if (parallel) {
-      QY_RETURN_IF_ERROR(ConsumeParallel());
-    } else {
-      QY_RETURN_IF_ERROR(ConsumeSerial());
-    }
+    QY_RETURN_IF_ERROR(ConsumeSerial());
     if (spilled_) {
       QY_RETURN_IF_ERROR(FlushTable(table_, 0));
       // Release in-memory reservation; partitions are on disk.
@@ -731,8 +724,9 @@ class HashAggNode : public ExecNode {
     int depth;
   };
 
-  /// Serial consume: identical to the pre-parallel engine (threads=1 keeps
-  /// byte-identical behavior, including floating-point accumulation order).
+  /// Pull every input chunk into table_, spilling it under memory pressure.
+  /// Chunks are applied in arrival order, which fixes the floating-point
+  /// accumulation order of every sum.
   Status ConsumeSerial() {
     std::vector<uint32_t> groups;
     while (true) {
@@ -764,150 +758,6 @@ class HashAggNode : public ExecNode {
     return Status::OK();
   }
 
-  /// One of the fixed partial-aggregation partitions of the parallel
-  /// consume. Input chunks are assigned round-robin by arrival index and
-  /// applied in that order (`next_seq` sequencing), so each partial's
-  /// content — including floating-point accumulation order — is a pure
-  /// function of the input stream, independent of thread count and
-  /// scheduling. Workers evaluate key/argument expressions outside the lock
-  /// and only serialize on the group-table update.
-  struct Partial {
-    Partial(const PlanNode& plan, MemoryTracker* tracker)
-        : table(plan), reservation(tracker) {}
-    GroupTable table;
-    ScopedReservation reservation;
-    std::mutex mu;
-    std::condition_variable cv;
-    uint64_t next_seq = 0;
-  };
-
-  /// The number of partial tables is a fixed constant (not the thread
-  /// count): it determines the merge structure and therefore the result's
-  /// floating-point rounding, which must not depend on --threads.
-  static constexpr size_t kParallelPartials = 8;
-
-  Status ConsumeParallel() {
-    std::vector<std::unique_ptr<Partial>> partials;
-    partials.reserve(kParallelPartials);
-    for (size_t p = 0; p < kParallelPartials; ++p) {
-      partials.push_back(std::make_unique<Partial>(plan_, ctx_->tracker));
-    }
-    std::mutex spill_mu;  // guards partitions_, spilled_ and ctx_ counters
-    uint64_t seqs[kParallelPartials] = {};
-    TaskGroup group(ctx_->pool, ctx_->query);
-    Status pull_status = Status::OK();
-    size_t chunk_idx = 0;
-    while (true) {
-      pull_status = ctx_->CheckInterrupt();
-      if (!pull_status.ok()) break;
-      auto in = std::make_shared<DataChunk>();
-      bool child_done = false;
-      pull_status = child_->Next(in.get(), &child_done);
-      if (!pull_status.ok() || child_done) break;
-      if (in->NumRows() == 0) continue;
-      size_t p = chunk_idx++ % kParallelPartials;
-      Partial* part = partials[p].get();
-      uint64_t seq = seqs[p]++;
-      group.WaitUntilBelow(ctx_->num_threads * 4);
-      group.Spawn([this, in, part, seq, &spill_mu, &group]() -> Status {
-        // Fallible work before the ordered section; failures are carried
-        // into it so next_seq is always bumped (otherwise later chunks of
-        // this partial would wait forever).
-        Status eval = Status::OK();
-        std::vector<ColumnVector> keys(plan_.group_keys.size());
-        std::vector<ColumnVector> args(plan_.aggs.size());
-        for (size_t k = 0; eval.ok() && k < plan_.group_keys.size(); ++k) {
-          eval = plan_.group_keys[k]->Evaluate(*in, &keys[k]);
-        }
-        for (size_t a = 0; eval.ok() && a < plan_.aggs.size(); ++a) {
-          if (plan_.aggs[a].arg) {
-            eval = plan_.aggs[a].arg->Evaluate(*in, &args[a]);
-          }
-        }
-        std::unique_lock<std::mutex> lock(part->mu);
-        // Abort-safe ordered wait: once the group is aborted (a sibling
-        // failed, or the query was cancelled), queued predecessors are
-        // short-circuited by the Spawn wrapper and never bump next_seq —
-        // a bare cv.wait would then block forever. Poll aborted() and bail
-        // (without bumping: ordering is moot, the query is failing; the
-        // other waiters exit through this same branch).
-        while (part->next_seq != seq) {
-          if (group.aborted()) {
-            Status s = ctx_->CheckInterrupt();
-            return s.ok() ? Status::Internal("aggregation aborted by sibling")
-                          : s;
-          }
-          part->cv.wait_for(lock, std::chrono::milliseconds(1));
-        }
-        Status s = eval.ok() ? ApplyChunkLocked(part, *in, keys, args, spill_mu)
-                             : eval;
-        ++part->next_seq;
-        part->cv.notify_all();
-        return s;
-      });
-    }
-    Status task_status = group.Wait();
-    QY_RETURN_IF_ERROR(pull_status);
-    QY_RETURN_IF_ERROR(task_status);
-    // Merge phase (serial, fixed partial order → deterministic output).
-    if (spilled_) {
-      for (auto& part : partials) {
-        QY_RETURN_IF_ERROR(FlushTable(part->table, 0));
-        part->table.Clear();
-        part->reservation.ReleaseAll();
-      }
-      return Status::OK();
-    }
-    std::string buf;
-    for (auto& part : partials) {
-      QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      const GroupTable& from = part->table;
-      uint32_t total = static_cast<uint32_t>(from.NumGroups());
-      for (uint32_t g = 0; g < total; ++g) {
-        buf.clear();
-        from.SerializeGroup(g, from.GroupHash(g), &buf);
-        QY_RETURN_IF_ERROR(table_.MergeRecord(buf));
-      }
-      part->table.Clear();
-      part->reservation.ReleaseAll();
-      QY_RETURN_IF_ERROR(CheckMemoryAndMaybeSpill());
-    }
-    return Status::OK();
-  }
-
-  /// Apply one chunk to `part` (whose mutex is held by the caller), then
-  /// re-check the partial's memory reservation, spilling the partial to the
-  /// shared partition files under pressure.
-  Status ApplyChunkLocked(Partial* part, const DataChunk& in,
-                          const std::vector<ColumnVector>& keys,
-                          const std::vector<ColumnVector>& args,
-                          std::mutex& spill_mu) {
-    size_t n = in.NumRows();
-    std::vector<uint32_t> groups;
-    part->table.GroupIndices(keys, n, &groups);
-    for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-      part->table.UpdateColumn(a, groups,
-                               plan_.aggs[a].arg ? &args[a] : nullptr, n);
-    }
-    uint64_t need = part->table.ApproxBytes();
-    uint64_t held = part->reservation.held();
-    if (need <= held) return Status::OK();
-    Status s = part->reservation.Reserve(need - held);
-    if (s.ok()) return s;
-    if (!ctx_->enable_spill || ctx_->temp_files == nullptr) {
-      return Status::OutOfMemory(
-          "hash aggregate exceeds memory budget and spilling is disabled (" +
-          std::to_string(part->table.NumGroups()) +
-          " groups in parallel partition)");
-    }
-    std::lock_guard<std::mutex> spill_lock(spill_mu);
-    spilled_ = true;
-    QY_RETURN_IF_ERROR(FlushTable(part->table, 0));
-    part->table.Clear();
-    part->reservation.ReleaseAll();
-    return Status::OK();
-  }
-
   Status CheckMemoryAndMaybeSpill() {
     uint64_t need = table_.ApproxBytes();
     uint64_t held = reservation_.held();
@@ -931,9 +781,7 @@ class HashAggNode : public ExecNode {
     if (!partitions_.empty()) return Status::OK();
     // Build into a local set and commit only when every file was created:
     // a mid-loop Create failure must not leave partitions_ half-initialized
-    // (non-empty but with null writers), because a concurrent parallel
-    // partial that lost the abort race would then skip creation and write
-    // through the null writer.
+    // (non-empty but with null writers).
     std::vector<Partition> fresh(kNumPartitions);
     for (int p = 0; p < kNumPartitions; ++p) {
       QY_ASSIGN_OR_RETURN(

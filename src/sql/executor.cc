@@ -1,9 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 
 #include "common/strings.h"
 #include "sql/hash_kernels.h"
@@ -81,20 +79,6 @@ class ScopedTimer {
 // Scan
 // ---------------------------------------------------------------------------
 
-/// Materialize rows [offset, offset+count) of `table` into `out` — the
-/// morsel primitive shared by the serial scan and the parallel probe source.
-void MaterializeRange(const Table& table, uint64_t offset, uint64_t count,
-                      DataChunk* out) {
-  out->columns.clear();
-  out->columns.reserve(table.schema().NumColumns());
-  for (size_t c = 0; c < table.schema().NumColumns(); ++c) {
-    ColumnVector col(table.schema().column(c).type);
-    col.Reserve(count);
-    table.ScanColumn(c, offset, count, &col);
-    out->columns.push_back(std::move(col));
-  }
-}
-
 class ScanNode : public ExecNode {
  public:
   ScanNode(const PlanNode& plan, ExecContext* ctx)
@@ -114,7 +98,13 @@ class ScanNode : public ExecNode {
     *done = false;
     uint64_t count = std::min<uint64_t>(ctx_->chunk_size,
                                         table.NumRows() - offset_);
-    MaterializeRange(table, offset_, count, out);
+    out->columns.reserve(table.schema().NumColumns());
+    for (size_t c = 0; c < table.schema().NumColumns(); ++c) {
+      ColumnVector col(table.schema().column(c).type);
+      col.Reserve(count);
+      table.ScanColumn(c, offset_, count, &col);
+      out->columns.push_back(std::move(col));
+    }
     offset_ += count;
     stats_.rows_out += count;
     return Status::OK();
@@ -399,9 +389,9 @@ class HashJoinNode : public ExecNode {
         ctx_(ctx), reservation_(ctx->tracker), stats_("HashJoin", ctx) {}
 
   ~HashJoinNode() override {
-    if (ctx_->profile != nullptr && probe_rows_.load() > 0) {
-      ctx_->profile->Record("HashJoinProbe", probe_rows_.load(),
-                            static_cast<double>(probe_ns_.load()) * 1e-9);
+    if (ctx_->profile != nullptr && probe_rows_ > 0) {
+      ctx_->profile->Record("HashJoinProbe", probe_rows_,
+                            static_cast<double>(probe_ns_) * 1e-9);
     }
   }
 
@@ -496,26 +486,12 @@ class HashJoinNode : public ExecNode {
     if (ctx_->profile != nullptr) {
       ctx_->profile->Record("HashJoinBuild", n, build_seconds);
     }
-    // Morsel-driven parallel probe: enabled for equi-joins when a pool is
-    // available. When the probe child is a bare table scan the workers pull
-    // row-range morsels straight from the table; otherwise chunks are pulled
-    // serially from the child and only probed in parallel.
-    parallel_ = ctx_->pool != nullptr && ctx_->num_threads > 1 &&
-                !plan_.right_keys.empty();
-    if (parallel_ && plan_.children[0]->kind == PlanNode::Kind::kScan) {
-      scan_source_ = plan_.children[0]->table;
-      if (scan_source_->NumRows() <= ctx_->chunk_size) {
-        parallel_ = false;  // a single morsel parallelizes nothing
-        scan_source_ = nullptr;
-      }
-    }
     return Status::OK();
   }
 
   Status Next(DataChunk* out, bool* done) override {
     ScopedTimer timer(&stats_.seconds);
     out->columns.clear();
-    if (parallel_) return NextParallel(out, done);
     while (true) {
       QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
       DataChunk probe;
@@ -545,9 +521,8 @@ class HashJoinNode : public ExecNode {
     return false;
   }
 
-  /// Probe one chunk and apply the residual predicate. Thread-safe after
-  /// Init(): reads only the shared immutable build state.
-  Status ProbeAndFilter(const DataChunk& probe, DataChunk* out) const {
+  /// Probe one chunk and apply the residual predicate.
+  Status ProbeAndFilter(const DataChunk& probe, DataChunk* out) {
     auto start = std::chrono::steady_clock::now();
     DataChunk joined;
     QY_RETURN_IF_ERROR(ProbeChunk(probe, &joined));
@@ -566,90 +541,11 @@ class HashJoinNode : public ExecNode {
     return Status::OK();
   }
 
-  /// Parallel probe with ordered emission: each round dispatches a bounded
-  /// batch of morsels to the pool, then emits the per-morsel outputs in
-  /// morsel order. Output is therefore byte-identical to the serial path at
-  /// any thread count, and the in-flight footprint stays bounded by the
-  /// batch size (no full materialization of the join output).
-  Status NextParallel(DataChunk* out, bool* done) {
-    while (true) {
-      QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      if (ready_pos_ < ready_.size()) {
-        DataChunk chunk = std::move(ready_[ready_pos_++]);
-        if (chunk.NumRows() == 0) continue;
-        stats_.rows_out += chunk.NumRows();
-        *out = std::move(chunk);
-        *done = false;
-        return Status::OK();
-      }
-      ready_.clear();
-      ready_pos_ = 0;
-      bool exhausted = false;
-      QY_RETURN_IF_ERROR(FillBatch(&exhausted));
-      if (exhausted && ready_.empty()) {
-        *done = true;
-        return Status::OK();
-      }
-    }
-  }
-
-  Status FillBatch(bool* exhausted) {
-    const size_t batch = ctx_->num_threads * 4;
-    struct MorselRange {
-      uint64_t offset;
-      uint64_t count;
-    };
-    std::vector<MorselRange> morsels;
-    std::vector<std::shared_ptr<DataChunk>> pulled;
-    if (scan_source_ != nullptr) {
-      uint64_t total = scan_source_->NumRows();
-      while (morsels.size() < batch && scan_offset_ < total) {
-        uint64_t count =
-            std::min<uint64_t>(ctx_->chunk_size, total - scan_offset_);
-        morsels.push_back({scan_offset_, count});
-        scan_offset_ += count;
-      }
-    } else {
-      while (pulled.size() < batch) {
-        QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-        auto in = std::make_shared<DataChunk>();
-        bool child_done = false;
-        QY_RETURN_IF_ERROR(left_->Next(in.get(), &child_done));
-        if (child_done) break;
-        if (in->NumRows() == 0) continue;
-        pulled.push_back(std::move(in));
-      }
-    }
-    size_t n = scan_source_ != nullptr ? morsels.size() : pulled.size();
-    if (n == 0) {
-      *exhausted = true;
-      return Status::OK();
-    }
-    ready_.assign(n, DataChunk());
-    TaskGroup group(ctx_->pool, ctx_->query);
-    for (size_t i = 0; i < n; ++i) {
-      group.Spawn([this, i, &morsels, &pulled]() -> Status {
-        QY_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-        DataChunk probe;
-        if (scan_source_ != nullptr) {
-          MaterializeRange(*scan_source_, morsels[i].offset, morsels[i].count,
-                           &probe);
-        } else {
-          probe = std::move(*pulled[i]);
-        }
-        return ProbeAndFilter(probe, &ready_[i]);
-      });
-    }
-    *exhausted = false;
-    return group.Wait();
-  }
-
   /// Match a probe chunk against the build table into parallel selection
   /// vectors (probe row index, build row index), in probe-row order with each
   /// probe row's matches in build insertion order, then gather every output
-  /// column in bulk. Thread-safe: all scratch is local, the table and key
-  /// stores are immutable after Init().
-  Status ProbeChunk(const DataChunk& probe, DataChunk* out) const {
+  /// column in bulk.
+  Status ProbeChunk(const DataChunk& probe, DataChunk* out) {
     size_t left_cols = probe.columns.size();
     size_t right_cols = build_.columns.size();
     out->columns.clear();
@@ -739,15 +635,8 @@ class HashJoinNode : public ExecNode {
   JoinRowTable table_;
   std::vector<int128_t> build_int_keys_;  ///< fast path: key of each build row
   EncodedKeyRows build_enc_;              ///< generic path: encoded key rows
-  mutable std::atomic<uint64_t> probe_rows_{0};
-  /// Probe time summed over the threads that probed (HashJoinProbe).
-  mutable std::atomic<uint64_t> probe_ns_{0};
-  // Parallel probe state.
-  bool parallel_ = false;
-  const Table* scan_source_ = nullptr;  ///< morsel source when probe is a scan
-  uint64_t scan_offset_ = 0;
-  std::vector<DataChunk> ready_;  ///< current batch outputs, emitted in order
-  size_t ready_pos_ = 0;
+  uint64_t probe_rows_ = 0;
+  uint64_t probe_ns_ = 0;  ///< probe time (HashJoinProbe)
 };
 
 }  // namespace

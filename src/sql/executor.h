@@ -15,7 +15,6 @@
 #include "common/cancellation.h"
 #include "common/memory_tracker.h"
 #include "common/temp_file.h"
-#include "common/thread_pool.h"
 #include "sql/plan.h"
 
 namespace qy::sql {
@@ -31,8 +30,8 @@ struct OperatorProfile {
 };
 
 /// Thread-safe per-operator stats sink, aggregated by operator name across
-/// all queries executed against one Database. Lets the morsel-driven
-/// parallel speedup be observed per operator rather than only end-to-end.
+/// all queries executed against one Database, so a run's cost can be read
+/// per operator rather than only end-to-end.
 class QueryProfile {
  public:
   void Record(const char* name, uint64_t rows_out, double seconds);
@@ -51,15 +50,10 @@ struct ExecContext {
   TempFileManager* temp_files = nullptr;   ///< required when spilling enabled
   size_t chunk_size = 2048;
   bool enable_spill = true;
-  /// Morsel-driven parallelism: operators fan work out over `pool` when it
-  /// is non-null and num_threads > 1; with num_threads == 1 every operator
-  /// takes its serial path (byte-identical legacy behavior).
-  size_t num_threads = 1;
-  ThreadPool* pool = nullptr;
   /// Optional per-operator stats sink.
   QueryProfile* profile = nullptr;
-  /// Optional cancellation/deadline context; polled once per morsel/chunk
-  /// by every operator loop.
+  /// Optional cancellation/deadline context; polled once per chunk by every
+  /// operator loop.
   const QueryContext* query = nullptr;
   /// Execution statistics (cumulative across operators).
   uint64_t rows_spilled = 0;

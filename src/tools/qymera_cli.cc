@@ -9,7 +9,7 @@
 ///                    [--budget-mib=M] [--fuse=K] [--steps]
 ///   qymera compare   <circuit.json | family:name:n> [--budget-mib=M]
 ///   qymera families
-///   qymera serve     [--port=N | --socket=PATH] [--threads=N] ...
+///   qymera serve     [--port=N | --socket=PATH] [--budget-mib=M] ...
 ///   qymera connect   [--port=N | --socket=PATH] --sql=S | --simulate=SPEC
 ///                    | --stats | --shutdown
 ///
@@ -57,8 +57,6 @@ int Usage() {
                "sparse mps dd sql-string sql-tensor\n"
                "  --budget-mib=M   memory budget\n"
                "  --fuse=K         enable gate fusion up to K qubits\n"
-               "  --threads=N      SQL engine worker threads "
-               "(0 = hardware concurrency, 1 = serial; qymera-sql)\n"
                "  --stats          print per-operator execution profile "
                "(qymera-sql)\n"
                "  --steps          print intermediate states (qymera-sql)\n"
@@ -77,7 +75,6 @@ int Usage() {
                "serve options:\n"
                "  --port=N         listen on 127.0.0.1:N (0 = ephemeral)\n"
                "  --socket=PATH    listen on a UNIX socket instead of TCP\n"
-               "  --threads=N      shared worker-pool width\n"
                "  --budget-mib=M   global memory budget (admission + tracker)\n"
                "  --session-budget-mib=M  default per-session budget\n"
                "  --max-concurrent=N      admission slots (default 4)\n"
@@ -123,7 +120,6 @@ struct CliOptions {
   std::string backend = "qymera-sql";
   uint64_t budget_mib = 0;
   int fuse = 0;
-  size_t threads = 0;  ///< 0 = hardware concurrency
   bool stats = false;
   bool steps = false;
   int64_t timeout_ms = 0;   ///< 0 = no deadline
@@ -149,7 +145,9 @@ struct CliOptions {
   bool close_session = false;
 };
 
-CliOptions ParseFlags(int argc, char** argv, int first) {
+/// Unknown flags are an error rather than ignored, so a typo cannot quietly
+/// run with a default (say, unbudgeted).
+Result<CliOptions> ParseFlags(int argc, char** argv, int first) {
   CliOptions out;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
@@ -157,8 +155,6 @@ CliOptions ParseFlags(int argc, char** argv, int first) {
     else if (arg.rfind("--budget-mib=", 0) == 0)
       out.budget_mib = std::strtoull(arg.c_str() + 13, nullptr, 10);
     else if (arg.rfind("--fuse=", 0) == 0) out.fuse = std::atoi(arg.c_str() + 7);
-    else if (arg.rfind("--threads=", 0) == 0)
-      out.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
     else if (arg == "--stats") out.stats = true;
     else if (arg == "--steps") out.steps = true;
     else if (arg.rfind("--timeout-ms=", 0) == 0)
@@ -190,6 +186,7 @@ CliOptions ParseFlags(int argc, char** argv, int first) {
     else if (arg.rfind("--simulate=", 0) == 0) out.simulate = arg.substr(11);
     else if (arg == "--shutdown") out.shutdown = true;
     else if (arg == "--close-session") out.close_session = true;
+    else return Status::InvalidArgument("unknown flag: " + arg);
   }
   return out;
 }
@@ -263,7 +260,7 @@ int CmdRun(const qc::QuantumCircuit& circuit, const CliOptions& cli) {
   }
 
   // Cooperative interruption: Ctrl-C fires g_interrupt, --timeout-ms arms a
-  // deadline; the engine polls `query` once per chunk/morsel/gate.
+  // deadline; the engine polls `query` once per chunk/gate.
   QueryContext query(&g_interrupt);
   if (cli.timeout_ms > 0) query.SetTimeoutMs(cli.timeout_ms);
   options.query = &query;
@@ -274,7 +271,6 @@ int CmdRun(const qc::QuantumCircuit& circuit, const CliOptions& cli) {
     qopts.enable_fusion = true;
     qopts.fusion.max_qubits = cli.fuse;
   }
-  qopts.num_threads = cli.threads;
   auto simulator = bench::MakeSimulator(*backend, options, &qopts);
   if (cli.steps && *backend == bench::Backend::kQymeraSql) {
     auto* qymera = static_cast<core::QymeraSimulator*>(simulator.get());
@@ -318,7 +314,6 @@ int CmdServe(const CliOptions& cli) {
   // no future socket/pipe write can take down every session in the server.
   std::signal(SIGPIPE, SIG_IGN);
   service::ServiceOptions sopts;
-  sopts.num_threads = cli.threads;
   if (cli.budget_mib > 0) sopts.memory_budget_bytes = cli.budget_mib << 20;
   sopts.max_concurrent_queries = cli.max_concurrent;
   sopts.max_queue_depth = cli.max_queue;
@@ -454,22 +449,24 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   if (command == "families") return CmdFamilies();
-  if (command == "serve" || command == "--serve") {
-    return CmdServe(ParseFlags(argc, argv, 2));
+  bool server_side = command == "serve" || command == "--serve" ||
+                     command == "connect" || command == "--connect";
+  if (!server_side && argc < 3) return Usage();
+  auto cli = ParseFlags(argc, argv, server_side ? 2 : 3);
+  if (!cli.ok()) {
+    std::fprintf(stderr, "%s\n", cli.status().ToString().c_str());
+    return 1;
   }
-  if (command == "connect" || command == "--connect") {
-    return CmdConnect(ParseFlags(argc, argv, 2));
-  }
-  if (argc < 3) return Usage();
+  if (command == "serve" || command == "--serve") return CmdServe(*cli);
+  if (command == "connect" || command == "--connect") return CmdConnect(*cli);
   auto circuit = LoadCircuit(argv[2]);
   if (!circuit.ok()) {
     std::fprintf(stderr, "cannot load circuit: %s\n",
                  circuit.status().ToString().c_str());
     return 1;
   }
-  CliOptions cli = ParseFlags(argc, argv, 3);
-  if (command == "translate") return CmdTranslate(*circuit, cli);
-  if (command == "run") return CmdRun(*circuit, cli);
-  if (command == "compare") return CmdCompare(*circuit, cli);
+  if (command == "translate") return CmdTranslate(*circuit, *cli);
+  if (command == "run") return CmdRun(*circuit, *cli);
+  if (command == "compare") return CmdCompare(*circuit, *cli);
   return Usage();
 }

@@ -1,7 +1,7 @@
 /// Cooperative cancellation and deadline tests: QueryContext semantics, the
 /// per-chunk interrupt polling of the SQL engine, per-gate polling of the
-/// simulation backends, TaskGroup short-circuiting, and the guarantee that a
-/// cancelled query leaves the database clean and usable.
+/// simulation backends, and the guarantee that a cancelled query leaves the
+/// database clean and usable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "circuit/families.h"
 #include "common/cancellation.h"
-#include "common/thread_pool.h"
 #include "sql/database.h"
 #include "testutil/testutil.h"
 
@@ -73,28 +72,24 @@ TEST(QueryContextTest, ExternalTokenIsShared) {
 }
 
 TEST(CancellationTest, PreCancelledQueryFailsAndDatabaseStaysUsable) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    QueryContext query;
-    DatabaseOptions opts;
-    opts.num_threads = threads;
-    opts.query = &query;
-    Database db(opts);
-    FillGroups(&db, 1000, 100);
-    uint64_t used_before = db.tracker().used();
+  QueryContext query;
+  DatabaseOptions opts;
+  opts.query = &query;
+  Database db(opts);
+  FillGroups(&db, 1000, 100);
+  uint64_t used_before = db.tracker().used();
 
-    query.Cancel();
-    auto got = db.Execute("SELECT k, SUM(v) FROM t GROUP BY k");
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
-    test::ExpectQueryCleanup(db, used_before, "after cancelled query");
+  query.Cancel();
+  auto got = db.Execute("SELECT k, SUM(v) FROM t GROUP BY k");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+  test::ExpectQueryCleanup(db, used_before, "after cancelled query");
 
-    // Re-arm and verify the database still answers correctly.
-    query.token().Reset();
-    auto again = db.Execute("SELECT COUNT(*) FROM t");
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_EQ(again->GetInt64(0, 0), 1000);
-  }
+  // Re-arm and verify the database still answers correctly.
+  query.token().Reset();
+  auto again = db.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->GetInt64(0, 0), 1000);
 }
 
 TEST(CancellationTest, ExpiredDeadlineStopsSelectJoinAndOrderBy) {
@@ -123,66 +118,58 @@ TEST(CancellationTest, ExpiredDeadlineStopsSelectJoinAndOrderBy) {
 }
 
 TEST(CancellationTest, CancelFromAnotherThreadInterruptsRunningQuery) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    QueryContext query;
-    DatabaseOptions opts;
-    opts.num_threads = threads;
-    opts.query = &query;
-    Database db(opts);
-    // A self-join over 20k rows with 100-row groups expands to ~4M rows —
-    // far more than 10 ms of work, so the cancel lands mid-flight; the
-    // cooperative checks bound how long the query keeps running after it.
-    FillGroups(&db, 20000, 100);
-    uint64_t used_before = db.tracker().used();
+  QueryContext query;
+  DatabaseOptions opts;
+  opts.query = &query;
+  Database db(opts);
+  // A self-join over 20k rows with 100-row groups expands to ~4M rows —
+  // far more than 10 ms of work, so the cancel lands mid-flight; the
+  // cooperative checks bound how long the query keeps running after it.
+  FillGroups(&db, 20000, 100);
+  uint64_t used_before = db.tracker().used();
 
-    std::thread canceller([&query] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      query.Cancel();
-    });
-    auto start = std::chrono::steady_clock::now();
-    auto got = db.Execute(
-        "SELECT a.k, COUNT(*) FROM t a JOIN t b ON a.k = b.k GROUP BY a.k");
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    canceller.join();
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
-    // Generous bound (CI machines vary) — without cancellation this query
-    // runs for many seconds.
-    EXPECT_LT(seconds, 30.0);
-    test::ExpectQueryCleanup(db, used_before, "after mid-flight cancel");
+  std::thread canceller([&query] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    query.Cancel();
+  });
+  auto start = std::chrono::steady_clock::now();
+  auto got = db.Execute(
+      "SELECT a.k, COUNT(*) FROM t a JOIN t b ON a.k = b.k GROUP BY a.k");
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  canceller.join();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+  // Generous bound (CI machines vary) — without cancellation this query
+  // runs for many seconds.
+  EXPECT_LT(seconds, 30.0);
+  test::ExpectQueryCleanup(db, used_before, "after mid-flight cancel");
 
-    query.token().Reset();
-    auto again = db.Execute("SELECT COUNT(*) FROM t");
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_EQ(again->GetInt64(0, 0), 20000);
-  }
+  query.token().Reset();
+  auto again = db.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->GetInt64(0, 0), 20000);
 }
 
 TEST(CancellationTest, QymeraRunCancelsBetweenMaterializedSteps) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    QueryContext query;
-    core::QymeraOptions qopts;
-    qopts.base.query = &query;
-    qopts.num_threads = threads;
-    core::QymeraSimulator sim(qopts);
-    // Cancel from the step observer: the per-step poll in ExecuteInternal
-    // must stop the run before the next gate executes.
-    std::atomic<size_t> steps_seen{0};
-    sim.set_step_callback([&](size_t step, const qc::Gate&,
-                              const sim::SparseState&) -> Status {
-      steps_seen = step + 1;
-      if (step == 1) query.Cancel();
-      return Status::OK();
-    });
-    auto state = sim.Run(qc::Ghz(8));
-    ASSERT_FALSE(state.ok());
-    EXPECT_EQ(state.status().code(), StatusCode::kCancelled);
-    EXPECT_EQ(steps_seen.load(), 2u);
-  }
+  QueryContext query;
+  core::QymeraOptions qopts;
+  qopts.base.query = &query;
+  core::QymeraSimulator sim(qopts);
+  // Cancel from the step observer: the per-step poll in ExecuteInternal
+  // must stop the run before the next gate executes.
+  std::atomic<size_t> steps_seen{0};
+  sim.set_step_callback([&](size_t step, const qc::Gate&,
+                            const sim::SparseState&) -> Status {
+    steps_seen = step + 1;
+    if (step == 1) query.Cancel();
+    return Status::OK();
+  });
+  auto state = sim.Run(qc::Ghz(8));
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(steps_seen.load(), 2u);
 }
 
 TEST(CancellationTest, AllInMemoryBackendsHonourPreCancelledContext) {
@@ -196,37 +183,6 @@ TEST(CancellationTest, AllInMemoryBackendsHonourPreCancelledContext) {
     ASSERT_FALSE(state.ok());
     EXPECT_EQ(state.status().code(), StatusCode::kCancelled);
   }
-}
-
-TEST(CancellationTest, TaskGroupShortCircuitsOnTokenFire) {
-  // Single worker => FIFO: the cancel is observed before any task is
-  // popped, so every body is skipped and Wait reports the cancellation.
-  ThreadPool pool(1);
-  QueryContext query;
-  query.Cancel();
-  TaskGroup group(&pool, &query);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 25; ++i) {
-    group.Spawn([&count]() -> Status {
-      count.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  Status s = group.Wait();
-  EXPECT_EQ(s.code(), StatusCode::kCancelled);
-  EXPECT_EQ(count.load(), 0);
-  EXPECT_EQ(group.skipped(), 25u);
-}
-
-TEST(CancellationTest, TaskGroupWaitReportsDeadline) {
-  ThreadPool pool(2);
-  QueryContext query;
-  TaskGroup group(&pool, &query);
-  group.Spawn([]() -> Status { return Status::OK(); });
-  query.SetTimeoutMs(0);
-  // No task failed; Wait surfaces the query's deadline status so callers
-  // need not poll the context separately.
-  EXPECT_EQ(group.Wait().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -471,14 +471,11 @@ TEST(CheckpointResumeTest, HugeAmplitudeCountIsDataLossOnEveryBackend) {
 /// in a fresh dir, interrupted mid-run by an injected sim/gate failure; then
 /// resume — the resumed state must match the uninterrupted one.
 void CheckResumeEquivalence(bench::Backend backend,
-                            const test::NamedCircuit& nc, uint64_t every,
-                            size_t threads) {
+                            const test::NamedCircuit& nc, uint64_t every) {
   SCOPED_TRACE(std::string(bench::BackendName(backend)) + " x " + nc.name +
-               " x every=" + std::to_string(every) +
-               " x threads=" + std::to_string(threads));
+               " x every=" + std::to_string(every));
   failpoint::DeactivateAll();
   core::QymeraOptions qopts;
-  qopts.num_threads = threads;
 
   SimOptions plain;
   auto reference_sim = bench::MakeSimulator(backend, plain, &qopts);
@@ -521,7 +518,7 @@ TEST(CheckpointResumeTest, AllBackendsMatchUninterruptedRun) {
         bench::Backend::kMps, bench::Backend::kDd}) {
     for (const auto& nc : circuits) {
       for (uint64_t every : {uint64_t{1}, uint64_t{3}}) {
-        CheckResumeEquivalence(backend, nc, every, /*threads=*/1);
+        CheckResumeEquivalence(backend, nc, every);
       }
     }
   }
@@ -533,11 +530,9 @@ TEST(CheckpointResumeTest, QymeraSqlMatchesUninterruptedRun) {
       {"qft3", qc::Qft(3)},
       {"random_sparse5", qc::RandomSparse(5, 12, /*seed=*/42)},
   };
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (const auto& nc : circuits) {
-      for (uint64_t every : {uint64_t{1}, uint64_t{3}}) {
-        CheckResumeEquivalence(bench::Backend::kQymeraSql, nc, every, threads);
-      }
+  for (const auto& nc : circuits) {
+    for (uint64_t every : {uint64_t{1}, uint64_t{3}}) {
+      CheckResumeEquivalence(bench::Backend::kQymeraSql, nc, every);
     }
   }
 }

@@ -63,8 +63,8 @@ SimOptions CheckpointOptions(const std::string& dir, uint64_t every,
 
 /// Fork a child, run `body` in it (the body is expected to die by SIGKILL
 /// via an armed crash failpoint), and assert it was indeed killed.
-/// fork() is safe here: these tests run single-threaded and every Database's
-/// worker pool is joined before its destructor returns.
+/// fork() is safe here: these tests run single-threaded and the engine
+/// starts no threads of its own.
 void RunChildExpectingSigkill(const std::function<void()>& body) {
   ::fflush(nullptr);
   pid_t pid = ::fork();
@@ -88,7 +88,6 @@ void CheckCrashResume(bench::Backend backend, const qc::QuantumCircuit& circuit,
   SCOPED_TRACE(std::string(bench::BackendName(backend)) + " x " + name);
   failpoint::DeactivateAll();
   core::QymeraOptions qopts;
-  qopts.num_threads = 1;
 
   SimOptions plain;
   auto reference_sim = bench::MakeSimulator(backend, plain, &qopts);
@@ -128,7 +127,6 @@ TEST(CrashHarnessTest, CrashDuringCheckpointWriteLeavesPreviousOneValid) {
   qc::QuantumCircuit circuit = qc::Qft(4);
   failpoint::DeactivateAll();
   core::QymeraOptions qopts;
-  qopts.num_threads = 1;
 
   SimOptions plain;
   auto reference_sim =
@@ -197,6 +195,8 @@ TEST(CrashHarnessTest, OrphanSweepReclaimsDeadChildsSpillDir) {
   }
 }
 
+#endif  // QY_FAILPOINTS_ENABLED
+
 // ---- end-to-end through the real CLI binary ----
 
 #ifdef QY_CLI_BIN_PATH
@@ -217,6 +217,19 @@ int RunCli(const std::string& args, std::string* out) {
   }
   return ::pclose(pipe);
 }
+
+TEST(CliTest, UnknownFlagIsAnError) {
+  // An unknown flag (here one the engine no longer has) must fail loudly
+  // instead of running with defaults.
+  std::string out;
+  int rc = RunCli("run family:ghz:3 --threads=4 2>&1", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << "rc=" << rc;
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << out;
+  EXPECT_NE(out.find("InvalidArgument"), std::string::npos) << out;
+  EXPECT_NE(out.find("--threads=4"), std::string::npos) << out;
+}
+
+#ifdef QY_FAILPOINTS_ENABLED
 
 TEST(CrashHarnessTest, CliCheckpointResumeEndToEnd) {
   ScopedDir dir;
@@ -265,9 +278,9 @@ TEST(CrashHarnessTest, CliResumeRejectsDifferentCircuit) {
   EXPECT_NE(out.find("InvalidArgument"), std::string::npos) << out;
 }
 
-#endif  // QY_CLI_BIN_PATH
-
 #endif  // QY_FAILPOINTS_ENABLED
+
+#endif  // QY_CLI_BIN_PATH
 
 }  // namespace
 }  // namespace qy::sim

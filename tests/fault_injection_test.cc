@@ -1,8 +1,8 @@
 /// Fault-injection matrix: every registered failpoint site, crossed with the
-/// main query shapes (join, aggregation, ORDER BY, spill-under-budget) and
-/// thread counts, asserting the failure-path contract — a clean Status comes
-/// back, tracked memory returns to its pre-query level, no spill temp files
-/// survive, the worker pool drains, and the database keeps answering.
+/// main query shapes (join, aggregation, ORDER BY, spill-under-budget),
+/// asserting the failure-path contract — a clean Status comes back, tracked
+/// memory returns to its pre-query level, no spill temp files survive, and
+/// the database keeps answering.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -57,7 +57,6 @@ constexpr Site kSites[] = {
     {"tempfile/create", StatusCode::kIoError},
     {"tempfile/write", StatusCode::kIoError},
     {"mem/reserve", StatusCode::kOutOfMemory},
-    {"pool/task", StatusCode::kInternal},
 };
 
 struct Scenario {
@@ -84,15 +83,12 @@ const Scenario kScenarios[] = {
 };
 
 /// One cell of the matrix: arm `site`, run `scenario`, verify the contract.
-void RunCase(const Site& site, const Scenario& scenario, size_t threads,
-             int skip) {
+void RunCase(const Site& site, const Scenario& scenario, int skip) {
   SCOPED_TRACE(std::string(scenario.name) + " x " + site.name +
-               " x threads=" + std::to_string(threads) +
                " skip=" + std::to_string(skip));
   failpoint::DeactivateAll();
   DatabaseOptions opts;
   opts.memory_budget_bytes = scenario.budget;
-  opts.num_threads = threads;
   Database db(opts);
   FillGroups(&db, scenario.rows, scenario.groups);
   uint64_t used_before = db.tracker().used();
@@ -116,7 +112,7 @@ void RunCase(const Site& site, const Scenario& scenario, size_t threads,
         << " but the query succeeded";
   } else {
     // The site was never traversed (e.g. spill sites without memory
-    // pressure, pool/task in a serial run): the query must succeed.
+    // pressure): the query must succeed.
     EXPECT_TRUE(status.ok())
         << site.name << " untraversed (" << traversals
         << " traversals) yet the query failed: " << status.ToString();
@@ -137,28 +133,17 @@ void RunCase(const Site& site, const Scenario& scenario, size_t threads,
 TEST(FaultInjectionTest, EverySiteEveryQueryShapeSerial) {
   for (const Scenario& scenario : kScenarios) {
     for (const Site& site : kSites) {
-      RunCase(site, scenario, /*threads=*/1, /*skip=*/0);
-    }
-  }
-}
-
-TEST(FaultInjectionTest, EverySiteEveryQueryShapeParallel) {
-  for (const Scenario& scenario : kScenarios) {
-    for (const Site& site : kSites) {
-      RunCase(site, scenario, /*threads=*/4, /*skip=*/0);
+      RunCase(site, scenario, /*skip=*/0);
     }
   }
 }
 
 TEST(FaultInjectionTest, MidQueryInjectionAfterSkippedTraversals) {
   // skip=3 lets the first traversals pass so the failure lands mid-query —
-  // after some spill partitions are already on disk / some pool tasks ran.
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (const char* name :
-         {"spill/write", "tempfile/write", "mem/reserve", "pool/task"}) {
-      Site site{name, StatusCode::kIoError};
-      RunCase(site, kScenarios[3], threads, /*skip=*/3);
-    }
+  // after some spill partitions are already on disk.
+  for (const char* name : {"spill/write", "tempfile/write", "mem/reserve"}) {
+    Site site{name, StatusCode::kIoError};
+    RunCase(site, kScenarios[3], /*skip=*/3);
   }
 }
 
@@ -227,8 +212,7 @@ TEST(FaultInjectionTest, TransientWriteFailuresAreAbsorbedByRetry) {
     failpoint::DeactivateAll();
     DatabaseOptions opts;
     opts.memory_budget_bytes = 1 << 20;
-    opts.num_threads = 1;
-    Database db(opts);
+      Database db(opts);
     FillGroups(&db, 20000, 5000);
     uint64_t used_before = db.tracker().used();
     failpoint::ActivateTransient("tempfile/write", fail_count);
@@ -253,7 +237,6 @@ TEST(FaultInjectionTest, TransientFailuresBeyondRetryBudgetStillFail) {
   failpoint::DeactivateAll();
   DatabaseOptions opts;
   opts.memory_budget_bytes = 1 << 20;
-  opts.num_threads = 1;
   Database db(opts);
   FillGroups(&db, 20000, 5000);
   uint64_t used_before = db.tracker().used();
@@ -455,7 +438,6 @@ TEST_F(SpillCorruptionTest, CorruptSpillPageFailsQueryCleanly) {
   failpoint::DeactivateAll();
   DatabaseOptions opts;
   opts.memory_budget_bytes = 1 << 20;
-  opts.num_threads = 1;
   Database db(opts);
   FillGroups(&db, 20000, 5000);
   uint64_t used_before = db.tracker().used();

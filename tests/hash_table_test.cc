@@ -3,12 +3,11 @@
 ///   - FlatKeyIndex / JoinRowTable unit tests (collision-heavy keys, tag
 ///     false positives, growth/rehash, int128 keys),
 ///   - encoder equivalence (chunk-batch vs Value-based paths),
-///   - join/aggregate byte-identical output across worker-thread counts,
+///   - join/aggregate byte-identical output across chunk sizes,
 ///   - plan-cache hit/miss/invalidation counters, DDL invalidation, and
 ///     cancellation on the cached execution path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -298,7 +297,7 @@ TEST(HashKernelsTest, NullIntKeyGetsReservedHash) {
 }
 
 // ---------------------------------------------------------------------------
-// Join / aggregate byte-identical output across thread counts
+// Join / aggregate byte-identical output across chunk sizes
 // ---------------------------------------------------------------------------
 
 /// Serialize an entire result with the spill codec (byte-exact, including
@@ -309,24 +308,6 @@ std::string SerializeResult(const QueryResult& r) {
     for (size_t col = 0; col < r.NumColumns(); ++col) {
       SerializeRawValue(r.GetValue(row, col), &out);
     }
-    out.push_back('\n');
-  }
-  return out;
-}
-
-/// Same bytes but with the rows in lexicographic order (order-insensitive
-/// comparison for aggregates, whose serial and parallel group orders differ).
-std::string SerializeResultSorted(const QueryResult& r) {
-  std::vector<std::string> rows(r.NumRows());
-  for (uint64_t row = 0; row < r.NumRows(); ++row) {
-    for (size_t col = 0; col < r.NumColumns(); ++col) {
-      SerializeRawValue(r.GetValue(row, col), &rows[row]);
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const std::string& s : rows) {
-    out += s;
     out.push_back('\n');
   }
   return out;
@@ -357,138 +338,73 @@ void FillJoinTables(Database* db, int rows) {
                     ? Value::Null(DataType::kBigInt)
                     : Value::BigInt(static_cast<int64_t>(rng() % 37));
     // Exactly representable payloads: every SUM below is exact in binary
-    // floating point, so serial and parallel accumulation orders agree
-    // bitwise (the engine only guarantees bitwise-equal FP sums *across
-    // parallel thread counts*; vs serial they agree when addition is exact).
+    // floating point.
     ASSERT_TRUE(
         (*build)->AppendRow({key, Value::Double((r % 16) * 0.0625)}).ok());
   }
 }
 
-TEST(HashPathEquivalenceTest, JoinAndAggregateByteIdenticalAcrossThreads) {
-  // The engine's determinism contract (see parallel_exec_test):
-  //   - join output is byte-identical across ALL thread counts including
-  //     serial (morsel-ordered emission),
-  //   - aggregate output is byte-identical across all PARALLEL thread counts
-  //     (partial assignment depends on morsel seq, not thread count) and
-  //     row-set-identical to serial (group order differs: first-seen vs
-  //     partial-merge order). The fixture's sums are FP-exact, so sorted
-  //     serial and parallel rows match byte for byte.
-  struct Query {
-    std::string sql;
-    bool order_sensitive;  ///< serial raw bytes must equal parallel raw bytes
+TEST(HashPathEquivalenceTest, JoinAndAggregateByteIdenticalAcrossChunkSizes) {
+  // Join output follows probe-row order and aggregate groups follow
+  // first-seen order, with every sum accumulated in row order, so the raw
+  // result bytes must not depend on how the input is cut into chunks.
+  const std::vector<std::string> queries = {
+      "SELECT probe.k, probe.v, build.w FROM probe JOIN build "
+      "ON probe.k = build.k",
+      "SELECT k, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi "
+      "FROM probe GROUP BY k",
+      "SELECT tag, k, SUM(v) AS s FROM probe GROUP BY tag, k",
+      "SELECT probe.k, SUM(probe.v * build.w) AS dot FROM probe JOIN build "
+      "ON probe.k = build.k GROUP BY probe.k",
   };
-  const std::vector<Query> queries = {
-      {"SELECT probe.k, probe.v, build.w FROM probe JOIN build "
-       "ON probe.k = build.k",
-       true},
-      {"SELECT k, COUNT(*) AS c, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi "
-       "FROM probe GROUP BY k",
-       false},
-      {"SELECT tag, k, SUM(v) AS s FROM probe GROUP BY tag, k", false},
-      {"SELECT probe.k, SUM(probe.v * build.w) AS dot FROM probe JOIN build "
-       "ON probe.k = build.k GROUP BY probe.k",
-       false},
-  };
-  std::vector<std::string> serial_raw(queries.size());
-  std::vector<std::string> serial_sorted(queries.size());
-  std::vector<std::string> parallel_raw(queries.size());
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  std::vector<std::string> reference(queries.size());
+  for (size_t chunk_size : {size_t{2048}, size_t{128}, size_t{7}}) {
+    SCOPED_TRACE("chunk_size=" + std::to_string(chunk_size));
     DatabaseOptions opts;
-    opts.num_threads = threads;
-    opts.chunk_size = 128;  // force many chunks / morsels
+    opts.chunk_size = chunk_size;
     Database db(opts);
     FillJoinTables(&db, 2000);
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto result = db.Execute(queries[q].sql);
-      ASSERT_TRUE(result.ok()) << queries[q].sql << " -> "
+      auto result = db.Execute(queries[q]);
+      ASSERT_TRUE(result.ok()) << queries[q] << " -> "
                                << result.status().ToString();
       std::string raw = SerializeResult(*result);
-      if (threads == 1) {
-        serial_raw[q] = raw;
-        serial_sorted[q] = SerializeResultSorted(*result);
-        EXPECT_FALSE(raw.empty()) << queries[q].sql;
+      EXPECT_FALSE(raw.empty()) << queries[q];
+      if (reference[q].empty()) {
+        reference[q] = raw;
       } else {
-        if (queries[q].order_sensitive) {
-          EXPECT_EQ(raw, serial_raw[q]) << queries[q].sql;
-        } else {
-          EXPECT_EQ(SerializeResultSorted(*result), serial_sorted[q])
-              << queries[q].sql;
-        }
-        if (threads == 2) {
-          parallel_raw[q] = raw;
-        } else {
-          EXPECT_EQ(raw, parallel_raw[q])
-              << queries[q].sql << " differs between parallel thread counts";
-        }
+        EXPECT_EQ(raw, reference[q]) << queries[q];
       }
     }
   }
 }
 
-TEST(HashPathEquivalenceTest, InexactSumsByteIdenticalAcrossParallelCounts) {
-  // Non-exact FP sums: partial-aggregate assignment depends only on morsel
-  // sequence numbers, never on the thread count, so every parallel run
-  // produces bitwise-identical sums (serial may differ in the last ULPs —
-  // different association order — and is deliberately not compared here).
-  std::vector<std::string> reference;
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DatabaseOptions opts;
-    opts.num_threads = threads;
-    opts.chunk_size = 128;
-    Database db(opts);
-    ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k BIGINT, v DOUBLE)").ok());
-    auto table = db.catalog().GetTable("t");
-    ASSERT_TRUE(table.ok());
-    for (int r = 0; r < 3000; ++r) {
-      ASSERT_TRUE((*table)
-                      ->AppendRow({Value::BigInt(r % 13),
-                                   Value::Double(1.0 / (r + 1))})
-                      .ok());
-    }
-    auto result = db.Execute("SELECT k, SUM(v) AS s FROM t GROUP BY k");
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string bytes = SerializeResult(*result);
-    if (reference.empty()) {
-      reference.push_back(bytes);
-    } else {
-      EXPECT_EQ(bytes, reference[0]);
-    }
-  }
-}
-
 TEST(HashPathEquivalenceTest, EmptyAndAllNullBuildSides) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DatabaseOptions opts;
-    opts.num_threads = threads;
-    Database db(opts);
-    ASSERT_TRUE(db.ExecuteScript(R"(
-      CREATE TABLE probe (k BIGINT, v DOUBLE);
-      INSERT INTO probe VALUES (1, 0.5), (2, 1.5), (NULL, 2.5);
-      CREATE TABLE empty_build (k BIGINT, w DOUBLE);
-      CREATE TABLE null_build (k BIGINT, w DOUBLE);
-      INSERT INTO null_build VALUES (NULL, 1.0), (NULL, 2.0);
-    )").ok());
-    auto empty_join = db.Execute(
-        "SELECT probe.k FROM probe JOIN empty_build ON probe.k = empty_build.k");
-    ASSERT_TRUE(empty_join.ok());
-    EXPECT_EQ(empty_join->NumRows(), 0u);
-    // NULL keys never compare equal, so an all-NULL build side matches
-    // nothing even against a NULL probe key.
-    auto null_join = db.Execute(
-        "SELECT probe.k FROM probe JOIN null_build ON probe.k = null_build.k");
-    ASSERT_TRUE(null_join.ok());
-    EXPECT_EQ(null_join->NumRows(), 0u);
-    // The aggregate, by contrast, groups NULL keys together (SQL semantics).
-    auto agg = db.Execute("SELECT k, COUNT(*) AS c FROM null_build GROUP BY k");
-    ASSERT_TRUE(agg.ok());
-    ASSERT_EQ(agg->NumRows(), 1u);
-    EXPECT_TRUE(agg->GetValue(0, 0).is_null());
-    EXPECT_EQ(agg->GetInt64(0, 1), 2);
-  }
+  DatabaseOptions opts;
+  Database db(opts);
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE TABLE probe (k BIGINT, v DOUBLE);
+    INSERT INTO probe VALUES (1, 0.5), (2, 1.5), (NULL, 2.5);
+    CREATE TABLE empty_build (k BIGINT, w DOUBLE);
+    CREATE TABLE null_build (k BIGINT, w DOUBLE);
+    INSERT INTO null_build VALUES (NULL, 1.0), (NULL, 2.0);
+  )").ok());
+  auto empty_join = db.Execute(
+      "SELECT probe.k FROM probe JOIN empty_build ON probe.k = empty_build.k");
+  ASSERT_TRUE(empty_join.ok());
+  EXPECT_EQ(empty_join->NumRows(), 0u);
+  // NULL keys never compare equal, so an all-NULL build side matches
+  // nothing even against a NULL probe key.
+  auto null_join = db.Execute(
+      "SELECT probe.k FROM probe JOIN null_build ON probe.k = null_build.k");
+  ASSERT_TRUE(null_join.ok());
+  EXPECT_EQ(null_join->NumRows(), 0u);
+  // The aggregate, by contrast, groups NULL keys together (SQL semantics).
+  auto agg = db.Execute("SELECT k, COUNT(*) AS c FROM null_build GROUP BY k");
+  ASSERT_TRUE(agg.ok());
+  ASSERT_EQ(agg->NumRows(), 1u);
+  EXPECT_TRUE(agg->GetValue(0, 0).is_null());
+  EXPECT_EQ(agg->GetInt64(0, 1), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -627,51 +543,47 @@ TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
 }
 
 TEST(PlanCacheTest, CancellationOnCachedPathCleansUpAndRecovers) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    CancellationToken token;
-    QueryContext query(&token);
-    DatabaseOptions opts;
-    opts.num_threads = threads;
-    opts.query = &query;
-    Database db(opts);
-    ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k BIGINT, v DOUBLE)").ok());
-    auto table = db.catalog().GetTable("t");
-    ASSERT_TRUE(table.ok());
-    for (int r = 0; r < 2000; ++r) {
-      ASSERT_TRUE((*table)
-                      ->AppendRow({Value::BigInt(r % 50),
-                                   Value::Double(static_cast<double>(r))})
-                      .ok());
-    }
-    const std::string ctas =
-        "CREATE TABLE out AS SELECT k, SUM(v) AS s FROM t GROUP BY k";
-    // Populate the cache, then cancel a repetition that executes through the
-    // cached-plan path.
-    ASSERT_TRUE(db.Execute(ctas).ok());
-    ASSERT_TRUE(db.ExecuteScript("DROP TABLE out").ok());
-    uint64_t used_before = db.tracker().used();
-    PlanCacheStats stats_before = db.plan_cache_stats();
-
-    token.Cancel();
-    auto cancelled = db.Execute(ctas);
-    ASSERT_FALSE(cancelled.ok());
-    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-    // The cached lookup hit, the execution failed, and the half-built CTAS
-    // target must not linger in the catalog.
-    EXPECT_EQ(db.plan_cache_stats().hits - stats_before.hits, 1u);
-    EXPECT_FALSE(db.catalog().HasTable("out"));
-    test::ExpectQueryCleanup(db, used_before, "after cancelled cached CTAS");
-
-    // Un-cancel: the same cached plan must execute successfully again.
-    token.Reset();
-    auto recovered = db.Execute(ctas);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    EXPECT_TRUE(db.catalog().HasTable("out"));
-    auto rows = db.Execute("SELECT COUNT(*) FROM out");
-    ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(rows->GetInt64(0, 0), 50);
+  CancellationToken token;
+  QueryContext query(&token);
+  DatabaseOptions opts;
+  opts.query = &query;
+  Database db(opts);
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k BIGINT, v DOUBLE)").ok());
+  auto table = db.catalog().GetTable("t");
+  ASSERT_TRUE(table.ok());
+  for (int r = 0; r < 2000; ++r) {
+    ASSERT_TRUE((*table)
+                    ->AppendRow({Value::BigInt(r % 50),
+                                 Value::Double(static_cast<double>(r))})
+                    .ok());
   }
+  const std::string ctas =
+      "CREATE TABLE out AS SELECT k, SUM(v) AS s FROM t GROUP BY k";
+  // Populate the cache, then cancel a repetition that executes through the
+  // cached-plan path.
+  ASSERT_TRUE(db.Execute(ctas).ok());
+  ASSERT_TRUE(db.ExecuteScript("DROP TABLE out").ok());
+  uint64_t used_before = db.tracker().used();
+  PlanCacheStats stats_before = db.plan_cache_stats();
+
+  token.Cancel();
+  auto cancelled = db.Execute(ctas);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  // The cached lookup hit, the execution failed, and the half-built CTAS
+  // target must not linger in the catalog.
+  EXPECT_EQ(db.plan_cache_stats().hits - stats_before.hits, 1u);
+  EXPECT_FALSE(db.catalog().HasTable("out"));
+  test::ExpectQueryCleanup(db, used_before, "after cancelled cached CTAS");
+
+  // Un-cancel: the same cached plan must execute successfully again.
+  token.Reset();
+  auto recovered = db.Execute(ctas);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(db.catalog().HasTable("out"));
+  auto rows = db.Execute("SELECT COUNT(*) FROM out");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->GetInt64(0, 0), 50);
 }
 
 }  // namespace

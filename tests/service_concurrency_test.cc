@@ -5,10 +5,9 @@
 ///   - the global MemoryTracker's high-water mark stays within the
 ///     configured admission budget,
 ///   - graceful shutdown under load rejects queued work with kUnavailable,
-///     completes or cancels in-flight queries, leaks no temp files and
-///     leaves the shared pool quiescent,
+///     completes or cancels in-flight queries and leaks no temp files,
 ///   - per-session fault isolation: one injected failure (spill/write,
-///     mem/reserve, pool/task) fails at most one session's query; the others
+///     mem/reserve) fails at most one session's query; the others
 ///     succeed untouched and the failed session recovers.
 #include <gtest/gtest.h>
 
@@ -107,7 +106,6 @@ std::string RunWorkload(Service* svc, int i) {
 
 ServiceOptions ConcurrencyOptions() {
   ServiceOptions options;
-  options.num_threads = 4;
   options.memory_budget_bytes = 256ull << 20;  // admission + global tracker
   options.max_concurrent_queries = kSessions;
   options.session_defaults.memory_budget_bytes = 32ull << 20;
@@ -141,11 +139,6 @@ TEST(ServiceConcurrencyTest, EightSessionsMatchSerialByteForByte) {
   EXPECT_LE(svc.tracker().peak(), svc.options().memory_budget_bytes);
   EXPECT_GE(svc.admission().stats().admitted, 5u * kSessions);
   svc.Shutdown(0ms);
-  ASSERT_NE(svc.pool(), nullptr);
-  for (int i = 0; i < 200 && !svc.pool()->Quiescent(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(svc.pool()->Quiescent());
 }
 
 TEST(ServiceConcurrencyTest, AdmissionQueuesWhenBudgetIsTight) {
@@ -238,14 +231,6 @@ TEST(ServiceConcurrencyTest, GracefulShutdownUnderLoad) {
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
 
-  ASSERT_NE(svc.pool(), nullptr);
-  // A worker can still be between finishing its last task and the
-  // bookkeeping decrement when the coordinator's join returns; poll briefly
-  // (same allowance as testutil's ExpectQueryCleanup).
-  for (int i = 0; i < 200 && !svc.pool()->Quiescent(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(svc.pool()->Quiescent()) << "shutdown must drain the pool";
   for (int i = 0; i < kSessions; ++i) {
     EXPECT_FALSE(sessions[i]->in_flight());
     test::ExpectNoLeakedTempFiles(sessions[i]->db(),
@@ -278,7 +263,6 @@ TEST_P(ServiceFaultTest, SingleFaultIsIsolatedToOneSession) {
   constexpr int kFaultSessions = 4;
 
   ServiceOptions options;
-  options.num_threads = 4;
   options.max_concurrent_queries = kFaultSessions;
   // A tight per-session budget so the aggregation below actually spills
   // (traversing spill/write) on every session — same pressure point as the
@@ -349,11 +333,6 @@ TEST_P(ServiceFaultTest, SingleFaultIsIsolatedToOneSession) {
     ASSERT_NE(handle, nullptr);
     test::ExpectNoLeakedTempFiles(handle->db(), "post-fault " + session);
   }
-  ASSERT_NE(svc.pool(), nullptr);
-  for (int i = 0; i < 100 && !svc.pool()->Quiescent(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(svc.pool()->Quiescent());
   svc.Shutdown(0ms);
 }
 
@@ -361,8 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sites, ServiceFaultTest,
     ::testing::Values(FaultSite{"spill/write", StatusCode::kIoError, true},
                       FaultSite{"mem/reserve", StatusCode::kOutOfMemory,
-                                false},
-                      FaultSite{"pool/task", StatusCode::kInternal, true}),
+                                false}),
     [](const ::testing::TestParamInfo<FaultSite>& info) {
       std::string name = info.param.site;
       for (char& c : name) {

@@ -337,7 +337,7 @@ TEST(AdmissionTest, CloseDrainsWaitersWithUnavailable) {
 // Sessions.
 
 TEST(ServiceSessionTest, NamingAndLookup) {
-  SessionManager manager(nullptr, nullptr, SessionOptions{}, 0ms);
+  SessionManager manager(nullptr, SessionOptions{}, 0ms);
   auto unnamed = manager.GetOrCreate("");
   ASSERT_TRUE(unnamed.ok());
   EXPECT_EQ(unnamed.value()->name(), "default");
@@ -354,7 +354,7 @@ TEST(ServiceSessionTest, NamingAndLookup) {
 }
 
 TEST(ServiceSessionTest, SessionStateIsIsolatedAndPersistent) {
-  SessionManager manager(nullptr, nullptr, SessionOptions{}, 0ms);
+  SessionManager manager(nullptr, SessionOptions{}, 0ms);
   auto a = manager.GetOrCreate("a").value();
   auto b = manager.GetOrCreate("b").value();
   ASSERT_TRUE(a->Execute("CREATE TABLE t (x BIGINT)").ok());
@@ -367,7 +367,7 @@ TEST(ServiceSessionTest, SessionStateIsIsolatedAndPersistent) {
 }
 
 TEST(ServiceSessionTest, CloseDrainsAndRejects) {
-  SessionManager manager(nullptr, nullptr, SessionOptions{}, 0ms);
+  SessionManager manager(nullptr, SessionOptions{}, 0ms);
   auto session = manager.GetOrCreate("x").value();
   ASSERT_TRUE(session->Execute("CREATE TABLE t (x BIGINT)").ok());
   ASSERT_TRUE(manager.Close("x").ok());
@@ -380,7 +380,7 @@ TEST(ServiceSessionTest, CloseDrainsAndRejects) {
 }
 
 TEST(ServiceSessionTest, SweepIdleRemovesOnlyIdleSessions) {
-  SessionManager manager(nullptr, nullptr, SessionOptions{}, 50ms);
+  SessionManager manager(nullptr, SessionOptions{}, 50ms);
   auto stale = manager.GetOrCreate("stale").value();
   ASSERT_TRUE(stale->Execute("SELECT 1").ok());
   std::this_thread::sleep_for(80ms);
@@ -393,7 +393,7 @@ TEST(ServiceSessionTest, SweepIdleRemovesOnlyIdleSessions) {
 }
 
 TEST(ServiceSessionTest, ShutdownRejectsNewWorkEverywhere) {
-  SessionManager manager(nullptr, nullptr, SessionOptions{}, 0ms);
+  SessionManager manager(nullptr, SessionOptions{}, 0ms);
   auto session = manager.GetOrCreate("x").value();
   manager.Shutdown(100ms);
   EXPECT_TRUE(manager.shutting_down());
@@ -417,7 +417,6 @@ std::string QftCircuitJson(int qubits) {
 
 TEST(ServiceTest, SubmitQueryRoundTrip) {
   ServiceOptions options;
-  options.num_threads = 2;
   Service svc(options);
 
   Request create;
@@ -450,7 +449,6 @@ TEST(ServiceTest, SubmitQueryRoundTrip) {
 
 TEST(ServiceTest, HostileSqlIsAnErrorResponseAndTheSessionServesOn) {
   ServiceOptions options;
-  options.num_threads = 2;
   Service svc(options);
   Request create;
   create.op = Request::Op::kQuery;
@@ -492,7 +490,6 @@ TEST(ServiceTest, HostileSqlIsAnErrorResponseAndTheSessionServesOn) {
 
 TEST(ServiceTest, SubmitSimulateReturnsRunSummary) {
   ServiceOptions options;
-  options.num_threads = 2;
   Service svc(options);
 
   Request simulate;
@@ -517,7 +514,6 @@ TEST(ServiceTest, SubmitSimulateReturnsRunSummary) {
 
 TEST(ServiceTest, SubmitTruncatesOversizedResults) {
   ServiceOptions options;
-  options.num_threads = 1;
   options.max_response_rows = 3;
   Service svc(options);
 
@@ -544,7 +540,6 @@ TEST(ServiceTest, SubmitTruncatesByByteBudget) {
   // Wide results are capped by encoded bytes, not only by row count, so a
   // response can never outgrow the wire frame cap by being wide per row.
   ServiceOptions options;
-  options.num_threads = 1;
   options.max_response_bytes = 40;  // estimate: 11 bytes per 1-digit row
   Service svc(options);
 
@@ -570,7 +565,6 @@ TEST(ServiceTest, SubmitTruncatesByByteBudget) {
 
 TEST(ServiceTest, OpenSessionAppliesBudgetAndStatsReportIt) {
   ServiceOptions options;
-  options.num_threads = 1;
   Service svc(options);
 
   Request open;
@@ -639,7 +633,6 @@ TEST(ServiceServerTest, ClientDisconnectBeforeReadingResponseIsHarmless) {
   // client kill the whole server. With MSG_NOSIGNAL it is a per-connection
   // EPIPE and everyone else keeps being served.
   ServiceOptions options;
-  options.num_threads = 1;
   Service svc(options);
   service::ServerOptions sopts;  // port 0 = ephemeral
   service::Server server(&svc, sopts);
@@ -671,7 +664,6 @@ TEST(ServiceServerTest, FinishedConnectionsAreReapedWithoutStop) {
   // Regression: per-connection fds/threads were only released in Stop(), so
   // a long-running server leaked one fd + one thread per connection served.
   ServiceOptions options;
-  options.num_threads = 1;
   Service svc(options);
   service::ServerOptions sopts;
   service::Server server(&svc, sopts);
@@ -704,7 +696,6 @@ TEST(ServiceServerTest, OversizedResponseIsTerminalErrorNotHangup) {
   // (non-retryable) error frame on a still-usable connection — not a failed
   // write that drops the connection and masquerades as a retryable IoError.
   ServiceOptions options;
-  options.num_threads = 1;
   // Let the row/byte limits pass so the encoded frame itself overflows (the
   // byte estimate is pre-escaping; this models it being beaten badly).
   options.max_response_rows = 5'000'000;
@@ -768,7 +759,6 @@ TEST(ServiceServerTest, ConcurrentStopIsSafe) {
 
 TEST(ServiceServerTest, TcpRoundTrip) {
   ServiceOptions options;
-  options.num_threads = 2;
   Service svc(options);
   service::ServerOptions sopts;  // port 0 = ephemeral
   service::Server server(&svc, sopts);
@@ -809,7 +799,6 @@ TEST(ServiceServerTest, TcpRoundTrip) {
 
 TEST(ServiceServerTest, UnixSocketRoundTripAndConcurrentClients) {
   ServiceOptions options;
-  options.num_threads = 2;
   options.max_concurrent_queries = 4;
   Service svc(options);
   service::ServerOptions sopts;

@@ -10,21 +10,16 @@
 /// amplitude fails here.
 ///
 /// Cases: per-gate outputs of budgeted qymera-sql runs (EqualSuperposition
-/// and a random dense circuit on top of it) at 1 and 4 engine threads, and
-/// serial SQL aggregates of every kind over BIGINT, HUGEINT, VARCHAR, nullable and
-/// composite keys, including a skew case that repartitions twice.
-///
-/// At 4 threads the parallel partial tables spill in scheduling order, so
-/// the simulation cases pin the sorted row set there, not the row order.
-/// Their gates are one-qubit gates and CX, so every amplitude is a sum of at
-/// most two terms, whose bits do not depend on that order. The SQL cases run
-/// serially.
+/// and a random dense circuit on top of it), and SQL aggregates of every
+/// kind over BIGINT, HUGEINT, VARCHAR, nullable and composite keys,
+/// including a skew case that repartitions twice. The `t1` in every case
+/// name dates from when the engine also ran multi-threaded; it stays so the
+/// golden lines keep their text.
 ///
 /// Regenerate only when a result change is intended (run from tests/):
 ///   QY_REGEN_SPILL_DIGEST=1 ../build/tests/spill_digest_test
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,17 +59,12 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
-/// Digest of the rows of `result`: per value, its NULL flag and the exact
-/// bytes of its payload. Rows are taken in engine order, or sorted by their
-/// bytes when `sorted` (multi-threaded spills interleave the partial tables'
-/// records in scheduling order, so only the row set is reproducible there).
-uint64_t DigestRows(const QueryResult& result, bool sorted) {
-  std::vector<std::string> rows(result.NumRows());
+/// Digest of the rows of `result`, in engine order: per value, its NULL
+/// flag and the exact bytes of its payload.
+uint64_t DigestRows(const QueryResult& result) {
+  Digest d;
   for (uint64_t r = 0; r < result.NumRows(); ++r) {
-    std::string& row = rows[r];
-    auto put = [&row](const void* data, size_t n) {
-      row.append(static_cast<const char*>(data), n);
-    };
+    auto put = [&d](const void* data, size_t n) { d.Mix(data, n); };
     for (size_t c = 0; c < result.NumColumns(); ++c) {
       const ColumnVector& col = result.column(c);
       char null = col.IsNull(r) ? 1 : 0;
@@ -103,27 +93,23 @@ uint64_t DigestRows(const QueryResult& result, bool sorted) {
       }
     }
   }
-  if (sorted) std::sort(rows.begin(), rows.end());
-  Digest d;
-  for (const std::string& row : rows) d.Mix(row.data(), row.size());
   return d.h;
 }
 
-std::string Line(const std::string& name, size_t threads,
-                 const QueryResult& result, uint64_t rows_spilled) {
+std::string Line(const std::string& name, const QueryResult& result,
+                 uint64_t rows_spilled) {
   return name + " rows=" + std::to_string(result.NumRows()) +
          " spilled=" + std::to_string(rows_spilled) +
-         " digest=" + Hex(DigestRows(result, threads > 1)) + "\n";
+         " digest=" + Hex(DigestRows(result)) + "\n";
 }
 
 /// Run `circuit` gate by gate (materialized steps, as QymeraSimulator does)
 /// under `budget_per_row` bytes per 2^n rows; one line per gate output table.
 void SimCase(const std::string& name, const qc::QuantumCircuit& circuit,
-             uint64_t budget_per_row, size_t threads, std::string* out) {
+             uint64_t budget_per_row, std::string* out) {
   int n = circuit.num_qubits();
   DatabaseOptions dopts;
   dopts.memory_budget_bytes = (uint64_t{1} << n) * budget_per_row;
-  dopts.num_threads = threads;
   Database db(dopts);
   core::TranslateOptions topts;
   topts.ping_pong_states = true;
@@ -150,9 +136,7 @@ void SimCase(const std::string& name, const qc::QuantumCircuit& circuit,
     current = step.output_table;
     auto rows = db.Execute("SELECT * FROM " + current);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    *out += Line(name + "/t" + std::to_string(threads) + "/gate" +
-                     std::to_string(k),
-                 threads, *rows, spilled);
+    *out += Line(name + "/t1/gate" + std::to_string(k), *rows, spilled);
   }
   EXPECT_GT(spilled_total, 0u) << name << ": budget did not trigger a spill";
   EXPECT_EQ(db.temp_files().LiveFileCount(), 0u);
@@ -183,7 +167,7 @@ void FillMixed(Database* db, int rows, int groups) {
   }
 }
 
-void SqlCases(size_t threads, std::string* out) {
+void SqlCases(std::string* out) {
   const std::string aggs =
       "SUM(v), SUM(i), SUM(h), COUNT(*), COUNT(v), AVG(v), AVG(i), MIN(v), "
       "MAX(v), MIN(i), MAX(i), MIN(s), MAX(s), MIN(h), MAX(h)";
@@ -195,7 +179,6 @@ void SqlCases(size_t threads, std::string* out) {
   // Holds the table and one query's result, but not the ~1.2 KiB of
   // aggregate states per group.
   opts.memory_budget_bytes = 3000 << 10;
-  opts.num_threads = threads;
   Database db(opts);
   FillMixed(&db, 12000, 4000);
   for (const auto& [name, key] : keys) {
@@ -203,8 +186,8 @@ void SqlCases(size_t threads, std::string* out) {
                           " FROM m GROUP BY " + key);
     ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
     EXPECT_GT(got->stats.rows_spilled, 0u) << name << ": no spill";
-    *out += Line(std::string("sql/t") + std::to_string(threads) + "/" + name,
-                 threads, *got, got->stats.rows_spilled);
+    *out += Line(std::string("sql/t1/") + name, *got,
+                 got->stats.rows_spilled);
   }
   EXPECT_EQ(db.temp_files().LiveFileCount(), 0u);
 }
@@ -212,10 +195,9 @@ void SqlCases(size_t threads, std::string* out) {
 /// All keys but a NULL one distinct, under a budget that leaves room for about 1/256 of the
 /// groups beside the table: first-level partitions and many of their
 /// sub-partitions overflow, so finalization repartitions at depths 1 and 2.
-void SkewCase(size_t threads, std::string* out) {
+void SkewCase(std::string* out) {
   DatabaseOptions opts;
   opts.memory_budget_bytes = 1740 << 10;
-  opts.num_threads = threads;
   Database db(opts);
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k BIGINT, v DOUBLE)").ok());
   auto table = db.catalog().GetTable("t");
@@ -235,27 +217,21 @@ void SkewCase(size_t threads, std::string* out) {
   // partition beyond that was created at depth 2.
   EXPECT_GT(got->stats.spill_partitions, 16u + 16u * 16u)
       << "skew case did not repartition at depth 2";
-  *out += Line("skew/t" + std::to_string(threads), threads, *got,
-               got->stats.rows_spilled);
+  *out += Line("skew/t1", *got, got->stats.rows_spilled);
   EXPECT_EQ(db.temp_files().LiveFileCount(), 0u);
 }
 
 std::string Render() {
   std::string out;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SimCase("superposition14", qc::EqualSuperposition(14), 70, threads, &out);
-    for (uint64_t seed : {3u, 17u}) {
-      qc::QuantumCircuit c = qc::EqualSuperposition(12);
-      qc::QuantumCircuit body = qc::RandomDense(12, 2, seed);
-      for (const qc::Gate& g : body.gates()) c.AddGate(g);
-      SimCase("random_dense12_s" + std::to_string(seed), c, 130, threads,
-              &out);
-    }
+  SimCase("superposition14", qc::EqualSuperposition(14), 70, &out);
+  for (uint64_t seed : {3u, 17u}) {
+    qc::QuantumCircuit c = qc::EqualSuperposition(12);
+    qc::QuantumCircuit body = qc::RandomDense(12, 2, seed);
+    for (const qc::Gate& g : body.gates()) c.AddGate(g);
+    SimCase("random_dense12_s" + std::to_string(seed), c, 130, &out);
   }
-  // Serial only: in parallel, long floating-point sums also depend on the
-  // order in which the partial tables spilled.
-  SqlCases(1, &out);
-  SkewCase(1, &out);
+  SqlCases(&out);
+  SkewCase(&out);
   return out;
 }
 

@@ -2,10 +2,54 @@
 /// plan -> execute against an in-memory Database.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "sql/database.h"
 
 namespace qy::sql {
 namespace {
+
+/// Two tables with NULL join keys on both sides. Non-NULL matches: l.k in
+/// {1 (x2 rows), 2} joins r.k in {1, 2 (x2 rows)}.
+void FillNullKeyTables(Database* db) {
+  ASSERT_TRUE(db->ExecuteScript(R"(
+    CREATE TABLE l (k BIGINT, k2 BIGINT, lv BIGINT);
+    CREATE TABLE r (k BIGINT, k2 BIGINT, rv BIGINT);
+    INSERT INTO l VALUES (1, 7, 10), (1, 7, 11), (2, 8, 20),
+                         (NULL, 7, 30), (4, NULL, 40);
+    INSERT INTO r VALUES (1, 7, 100), (2, 8, 200), (2, 8, 201),
+                         (NULL, 7, 300), (4, NULL, 400), (NULL, NULL, 500);
+  )").ok());
+}
+
+/// Append `rows` rows of (k = r % groups, v = r) to a fresh table `name`.
+void FillBig(Database* db, const std::string& name, int rows, int groups) {
+  ASSERT_TRUE(db->ExecuteScript("CREATE TABLE " + name +
+                                " (k BIGINT, v BIGINT)")
+                  .ok());
+  auto table = db->catalog().GetTable(name);
+  ASSERT_TRUE(table.ok());
+  for (int r = 0; r < rows; ++r) {
+    ASSERT_TRUE(
+        (*table)
+            ->AppendRow({Value::BigInt(r % groups), Value::BigInt(r)})
+            .ok());
+  }
+}
+
+/// All rows of `qr` rendered as one string (exact row-order comparison).
+std::string Rows(const QueryResult& qr) {
+  std::string out;
+  for (uint64_t r = 0; r < qr.NumRows(); ++r) {
+    for (uint64_t c = 0; c < qr.NumColumns(); ++c) {
+      out += qr.GetValue(r, c).ToString();
+      out += c + 1 < qr.NumColumns() ? ',' : '\n';
+    }
+  }
+  return out;
+}
 
 class SqlExecTest : public ::testing::Test {
  protected:
@@ -387,6 +431,91 @@ TEST_F(SqlExecTest, ResultToStringRenders) {
   std::string text = r.ToString();
   EXPECT_NE(text.find("name"), std::string::npos);
   EXPECT_NE(text.find("one"), std::string::npos);
+}
+
+// NULL-key equi-join semantics on both join key paths.
+
+TEST_F(SqlExecTest, NullJoinKeysNeverMatchOnIntKeyPath) {
+  FillNullKeyTables(&db_);
+  QueryResult r = Q(
+      "SELECT l.lv, r.rv FROM l JOIN r ON l.k = r.k ORDER BY l.lv, r.rv");
+  // NULL keys never match, not even NULL = NULL: rows lv=30 and rv=300/500
+  // are dropped; k=4 still matches on the fast path (k2 is not a join key).
+  ASSERT_EQ(r.NumRows(), 5u);
+  EXPECT_EQ(Rows(r), "10,100\n11,100\n20,200\n20,201\n40,400\n");
+}
+
+TEST_F(SqlExecTest, NullJoinKeysNeverMatchOnMultiKeyPath) {
+  FillNullKeyTables(&db_);
+  QueryResult r = Q(
+      "SELECT l.lv, r.rv FROM l JOIN r ON l.k = r.k AND l.k2 = r.k2 "
+      "ORDER BY l.lv, r.rv");
+  // (4, NULL) on both sides must NOT match even though the serialized key
+  // bytes would be equal; (NULL, 7) likewise.
+  ASSERT_EQ(r.NumRows(), 4u);
+  EXPECT_EQ(Rows(r), "10,100\n11,100\n20,200\n20,201\n");
+}
+
+TEST_F(SqlExecTest, JoinBuildOomReleasesReservationAndReportsBytes) {
+  DatabaseOptions opts;
+  opts.memory_budget_bytes = 96 << 10;  // build side will not fit
+  Database db(opts);
+  FillBig(&db, "probe", 16, 16);
+  FillBig(&db, "build", 4000, 4000);
+  auto r = db.Execute(
+      "SELECT probe.v FROM probe JOIN build ON probe.k = build.k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfMemory);
+  EXPECT_NE(r.status().message().find("requested"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("already held"), std::string::npos);
+  // The failed build must not leave the tracker charged: the same query
+  // against a smaller build side must still have the full budget available.
+  ASSERT_TRUE(db.ExecuteScript("DROP TABLE build").ok());
+  FillBig(&db, "build", 16, 16);
+  auto retry = db.Execute(
+      "SELECT probe.v FROM probe JOIN build ON probe.k = build.k");
+  EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+}
+
+// Per-operator profile.
+
+TEST_F(SqlExecTest, ProfileRecordsOperators) {
+  FillBig(&db_, "t", 5000, 50);
+  Q("SELECT k, SUM(v) FROM t WHERE v >= 0 GROUP BY k ORDER BY k");
+  std::vector<std::string> names;
+  for (const OperatorProfile& op : db_.profile().Snapshot()) {
+    names.push_back(op.name);
+    EXPECT_GT(op.invocations, 0u) << op.name;
+  }
+  for (const char* expected : {"Scan", "Filter", "HashAggregate", "Sort"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+        << "profile is missing operator " << expected << " in "
+        << db_.profile().ToString();
+  }
+  EXPECT_FALSE(db_.profile().ToString().empty());
+}
+
+TEST_F(SqlExecTest, ProfileTimesAndCountsJoinBuildAndProbe) {
+  constexpr int kProbeRows = 120000, kBuildRows = 64;
+  FillBig(&db_, "probe", kProbeRows, kBuildRows);
+  FillBig(&db_, "build", kBuildRows, kBuildRows);
+  QueryResult r =
+      Q("SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k");
+  EXPECT_EQ(r.GetInt64(0, 0), kProbeRows);
+  bool saw_build = false, saw_probe = false;
+  for (const OperatorProfile& op : db_.profile().Snapshot()) {
+    if (op.name == "HashJoinBuild") {
+      saw_build = true;
+      EXPECT_EQ(op.rows_out, static_cast<uint64_t>(kBuildRows));
+      EXPECT_GT(op.seconds, 0.0);
+    } else if (op.name == "HashJoinProbe") {
+      saw_probe = true;
+      EXPECT_EQ(op.rows_out, static_cast<uint64_t>(kProbeRows));
+      EXPECT_GT(op.seconds, 0.0);
+    }
+  }
+  EXPECT_TRUE(saw_build && saw_probe) << db_.profile().ToString();
 }
 
 }  // namespace

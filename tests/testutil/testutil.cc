@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "circuit/families.h"
@@ -93,11 +91,7 @@ std::vector<BackendFactory> QymeraBackendVariants() {
     bool fusion;
     bool hugeint;
     bool order_by;
-    size_t threads = 1;
   };
-  // The thread-count axis (t1/t2/t8) must not change results: t1 is the
-  // byte-identical serial engine, t2/t8 exercise the morsel-driven parallel
-  // join/aggregate paths including the ORDER BY output-ordering guarantee.
   const std::vector<Variant> variants = {
       {"qymera/materialized", Mode::kMaterializedSteps, false, false, false},
       {"qymera/single_query", Mode::kSingleQuery, false, false, false},
@@ -108,14 +102,6 @@ std::vector<BackendFactory> QymeraBackendVariants() {
        false},
       {"qymera/single_query+hugeint", Mode::kSingleQuery, false, true, false},
       {"qymera/single_query+order_by", Mode::kSingleQuery, false, false, true},
-      {"qymera/materialized+t2", Mode::kMaterializedSteps, false, false, false,
-       2},
-      {"qymera/materialized+t8", Mode::kMaterializedSteps, false, false, false,
-       8},
-      {"qymera/single_query+t2", Mode::kSingleQuery, false, false, false, 2},
-      {"qymera/single_query+t8", Mode::kSingleQuery, false, false, false, 8},
-      {"qymera/single_query+order_by+t8", Mode::kSingleQuery, false, false,
-       true, 8},
   };
   std::vector<BackendFactory> out;
   for (const Variant& v : variants) {
@@ -128,7 +114,6 @@ std::vector<BackendFactory> QymeraBackendVariants() {
            qopts.enable_fusion = v.fusion;
            qopts.force_hugeint = v.hugeint;
            qopts.final_order_by = v.order_by;
-           qopts.num_threads = v.threads;
            return std::make_unique<core::QymeraSimulator>(qopts);
          }});
   }
@@ -171,14 +156,6 @@ void ExpectQueryCleanup(sql::Database& db, uint64_t used_before,
   EXPECT_EQ(db.tracker().used(), used_before)
       << "tracked memory not restored after the query";
   ExpectNoLeakedTempFiles(db, context);
-  if (db.pool() != nullptr) {
-    // TaskGroup::Wait can return a hair before the worker's active-count
-    // decrement; give the pool a moment to settle.
-    for (int i = 0; i < 2000 && !db.pool()->Quiescent(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_TRUE(db.pool()->Quiescent()) << "worker pool not drained";
-  }
 }
 
 }  // namespace qy::test

@@ -69,9 +69,7 @@ void ExpectNoLeakedTempFiles(sql::Database& db, const std::string& context);
 /// returned (successfully or not):
 ///   - tracked memory is back to `used_before` (the level snapshotted
 ///     before the query; the tracker also accounts resident tables),
-///   - no spill temp files remain on disk,
-///   - the worker pool is quiescent (polls briefly: a worker may still be
-///     between finishing the last task and the bookkeeping decrement).
+///   - no spill temp files remain on disk.
 void ExpectQueryCleanup(sql::Database& db, uint64_t used_before,
                         const std::string& context);
 
